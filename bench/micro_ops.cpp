@@ -3,12 +3,16 @@
 // updates as a function of |B|, and Max-Avg tree expansion by depth.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "gbench_main.hpp"
 
 #include "bounds/incremental_update.hpp"
 #include "bounds/ra_bound.hpp"
+#include "controller/bootstrap.hpp"
 #include "models/emn.hpp"
 #include "pomdp/belief_batch.hpp"
 #include "pomdp/bellman.hpp"
@@ -64,26 +68,101 @@ void BM_BeliefSuccessors(benchmark::State& state) {
 }
 BENCHMARK(BM_BeliefSuccessors)->Arg(0)->Arg(1)->Arg(10);
 
+// Table 1's "Bounded" warm set: the RA-Bound plane at capacity 64, then the
+// Table 1 bootstrap (10 depth-2 episodes, seed 2006, branch floor 1e-2),
+// continued one episode per further seed until the set is full. Random-
+// belief backups saturate near 16 planes (they stop producing undominated
+// vectors), so only the bootstrap's visited beliefs reach Table 1's |B|.
+const bounds::BoundSet& table1_bound_set() {
+  static const bounds::BoundSet set = [] {
+    const Pomdp& p = emn_recovery();
+    bounds::BoundSet warm = bounds::make_ra_bound_set(p.mdp(), 64);
+    controller::BootstrapOptions boot;
+    boot.iterations = 10;
+    boot.tree_depth = 2;
+    boot.observe_action = ids().topo.observe_action;
+    boot.seed = 2006;
+    boot.branch_floor = 1e-2;
+    const Belief reference = Belief::uniform(p.num_states());
+    controller::bootstrap_bounds(p, warm, reference, boot);
+    boot.iterations = 1;
+    for (int extra = 0; extra < 100 && warm.size() < warm.capacity(); ++extra) {
+      ++boot.seed;
+      controller::bootstrap_bounds(p, warm, reference, boot);
+    }
+    return warm;
+  }();
+  return set;
+}
+
+// The first `planes` planes of the Table 1 set (plane 0 stays the protected
+// RA-Bound plane), or nullopt when the set holds fewer.
+std::optional<bounds::BoundSet> table1_prefix(std::size_t planes) {
+  bounds::BoundSet::Snapshot snap = table1_bound_set().snapshot();
+  if (snap.planes.size() < planes) return std::nullopt;
+  snap.planes.resize(planes);
+  return bounds::BoundSet::restore(snap);
+}
+
+// One Eq. 7 backup (no add) at the uniform fault belief, |B| = Arg.
 void BM_IncrementalUpdate(benchmark::State& state) {
   const Pomdp& p = emn_recovery();
   const Belief pi = uniform_fault_belief();
-  // Pre-grow the bound set to the requested |B| with random-belief backups.
-  bounds::BoundSet set = bounds::make_ra_bound_set(p.mdp());
-  Rng rng(11);
-  while (set.size() < static_cast<std::size_t>(state.range(0))) {
-    std::vector<double> raw(p.num_states());
-    for (auto& v : raw) v = rng.uniform01() + 1e-6;
-    const auto before = set.size();
-    bounds::improve_at(p, set, Belief(raw));
-    if (set.size() == before) break;  // saturated below the target size
+  const std::optional<bounds::BoundSet> set =
+      table1_prefix(static_cast<std::size_t>(state.range(0)));
+  if (!set) {
+    state.SkipWithError("the Table 1 bootstrap did not reach the requested |B|");
+    return;
   }
   for (auto _ : state) {
-    const auto backup = bounds::backup_vector(p, set, pi);
+    const auto backup = bounds::backup_vector(p, *set, pi);
     benchmark::DoNotOptimize(backup.data());
   }
-  state.counters["bound_vectors"] = static_cast<double>(set.size());
+  state.counters["bound_vectors"] = static_cast<double>(set->size());
 }
-BENCHMARK(BM_IncrementalUpdate)->Arg(1)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_IncrementalUpdate)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
+
+// The full update on the full Table 1 set: backup, dominance checks, add
+// and least-used eviction at capacity 64. Each iteration starts from a copy
+// of the warm set (copy untimed) and updates at the next of 16 sparse fault
+// beliefs, so every iteration does the same work.
+void BM_ImproveAt(benchmark::State& state) {
+  const Pomdp& p = emn_recovery();
+  const bounds::BoundSet& warm = table1_bound_set();
+  if (warm.size() < warm.capacity()) {
+    state.SkipWithError("the Table 1 bootstrap did not fill the set");
+    return;
+  }
+  std::vector<Belief> beliefs;
+  Rng rng(29);
+  for (int k = 0; k < 16; ++k) {
+    std::vector<double> raw(p.num_states(), 0.0);
+    for (int j = 0; j < 3; ++j) {
+      StateId s = 0;
+      do {
+        s = rng.uniform_index(p.num_states());
+      } while (p.mdp().is_goal(s) || s == p.terminate_state());
+      raw[s] += rng.uniform01() + 1e-3;
+    }
+    beliefs.emplace_back(std::move(raw));
+  }
+  std::size_t next = 0;
+  std::size_t added = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bounds::BoundSet set = warm;
+    state.ResumeTiming();
+    const bounds::UpdateResult result = bounds::improve_at(p, set, beliefs[next]);
+    benchmark::DoNotOptimize(result.value_after);
+    added += result.added ? 1 : 0;
+    next = (next + 1) % beliefs.size();
+  }
+  state.counters["bound_vectors"] = static_cast<double>(warm.size());
+  const auto iterations = std::max<std::int64_t>(state.iterations(), 1);
+  state.counters["accept_ratio"] =
+      static_cast<double>(added) / static_cast<double>(iterations);
+}
+BENCHMARK(BM_ImproveAt)->Unit(benchmark::kMicrosecond);
 
 // Headline decision-latency number (BENCH_expansion.json): one depth-d best
 // action on the EMN model with the RA-Bound leaf, in the exact configuration

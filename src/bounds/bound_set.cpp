@@ -58,6 +58,21 @@ struct EvalInstruments {
     return instruments;
   }
 };
+
+// Rows per SIMD tile under the active kernel tier; 0 = scalar scan only.
+std::size_t tile_width() {
+#if RECOVERD_SIMD_KERNELS_X86
+  switch (simd::active_mode()) {
+    case simd::Mode::Avx512:
+      return 8;
+    case simd::Mode::Avx2:
+      return 4;
+    case simd::Mode::Scalar:
+      break;
+  }
+#endif
+  return 0;
+}
 }  // namespace
 
 BoundSet::BoundSet(std::size_t dimension, std::size_t capacity)
@@ -230,100 +245,47 @@ double BoundSet::evaluate(std::span<const double> belief, EvalScratch& scratch) 
   return value;
 }
 
-std::size_t BoundSet::evaluate_batch_simd(const double* beliefs, std::size_t count,
-                                          double* out, EvalScratch& scratch) const {
+template <class Sink>
+bool BoundSet::tile_scan(const double* rows, std::size_t count, TileScratch& scratch,
+                         Sink&& sink) const {
 #if RECOVERD_SIMD_KERNELS_X86
-  if (simd::active_mode() == simd::Mode::Avx512) {
-    // 8-row tiles through dot8: same full ascending scan as the 4-row AVX2
-    // path below, two lanes wider. Lane arithmetic and the strict `>`
-    // winner rule are unchanged, so values and win tallies stay bitwise
-    // equal to the scalar scan.
-    const std::size_t groups = count / 8;
-    if (groups == 0) return 0;
-    RD_EXPECTS(!entries_.empty(), "BoundSet: no vectors stored");
-    RD_EXPECTS(scratch.wins.size() == entries_.size(),
-               "BoundSet::evaluate_batch: scratch not sized for this set");
-    const std::size_t n = entries_.size();
-    scratch.tile.resize(8 * dimension_);
-    double* tile = scratch.tile.data();
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* base = beliefs + 8 * g * dimension_;
-      const double* rows[8];
-      for (std::size_t l = 0; l < 8; ++l) rows[l] = base + l * dimension_;
-      linalg::simd::transpose8(rows, dimension_, tile);
-      double best[8];
-      std::size_t win[8];
-      for (std::size_t l = 0; l < 8; ++l) {
-        best[l] = -std::numeric_limits<double>::infinity();
-        win[l] = n;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        double vals[8];
-        linalg::simd::dot8(entries_[i].vector.data(), tile, dimension_, vals);
-        for (std::size_t l = 0; l < 8; ++l) {
-          if (vals[l] > best[l]) {
-            best[l] = vals[l];
-            win[l] = i;
-          }
-        }
-      }
-      for (std::size_t l = 0; l < 8; ++l) {
-        out[8 * g + l] = best[l];
-        ++scratch.wins[win[l]];
-        ++scratch.evaluations;
-        if (win[l] == scratch.warm) ++scratch.warm_start_hits;
-        scratch.warm = win[l];
-      }
-    }
-    return groups * 8;
-  }
-  if (simd::active_mode() != simd::Mode::Avx2) return 0;
-  const std::size_t groups = count / 4;
-  if (groups == 0) return 0;
+  const std::size_t width = tile_width();
+  if (width == 0) return false;
   RD_EXPECTS(!entries_.empty(), "BoundSet: no vectors stored");
-  RD_EXPECTS(scratch.wins.size() == entries_.size(),
-             "BoundSet::evaluate_batch: scratch not sized for this set");
   const std::size_t n = entries_.size();
-  scratch.tile.resize(4 * dimension_);
+  scratch.planes.resize(n);
+  for (std::size_t i = 0; i < n; ++i) scratch.planes[i] = entries_[i].vector.data();
+  scratch.tile.resize(width * dimension_);
+  scratch.cols.resize(dimension_);
+  const double* const* planes = scratch.planes.data();
   double* tile = scratch.tile.data();
-  for (std::size_t g = 0; g < groups; ++g) {
-    const double* rows = beliefs + 4 * g * dimension_;
-    linalg::simd::transpose4(rows, rows + dimension_, rows + 2 * dimension_,
-                             rows + 3 * dimension_, dimension_, tile);
-    // Full ascending scan, four beliefs per pass. Each lane's dot is term-
-    // for-term linalg::dot, and a strict `>` keeps the lowest index on
-    // ties — exactly the pruned scalar scan's value and winner (the prune
-    // key and warm start never change either; see scan()).
-    double best[4] = {-std::numeric_limits<double>::infinity(),
-                      -std::numeric_limits<double>::infinity(),
-                      -std::numeric_limits<double>::infinity(),
-                      -std::numeric_limits<double>::infinity()};
-    std::size_t win[4] = {n, n, n, n};
-    for (std::size_t i = 0; i < n; ++i) {
-      double vals[4];
-      linalg::simd::dot4(entries_[i].vector.data(), tile, dimension_, vals);
-      for (std::size_t l = 0; l < 4; ++l) {
-        if (vals[l] > best[l]) {
-          best[l] = vals[l];
-          win[l] = i;
-        }
-      }
+  std::size_t* cols = scratch.cols.data();
+  double best[8];
+  std::size_t win[8];
+  for (std::size_t r = 0; r < count; r += width) {
+    const std::size_t lanes = std::min(width, count - r);
+    const double* group = rows + r * dimension_;
+    // Full ascending scan, four planes per pass, over the columns that are
+    // non-zero in some row. Each lane's dot is term-for-term linalg::dot
+    // (a dropped column adds exact ±0), and a strict `>` keeps the lowest
+    // index on ties — exactly the pruned scalar scan's value and winner
+    // (the prune key and warm start never change either; see scan()).
+    if (width == 8) {
+      const std::size_t m = linalg::simd::gather_tile8(group, lanes, dimension_, tile, cols);
+      linalg::simd::argmax8(planes, n, tile, cols, m, best, win);
+    } else {
+      const std::size_t m = linalg::simd::gather_tile4(group, lanes, dimension_, tile, cols);
+      linalg::simd::argmax4(planes, n, tile, cols, m, best, win);
     }
-    for (std::size_t l = 0; l < 4; ++l) {
-      out[4 * g + l] = best[l];
-      ++scratch.wins[win[l]];
-      ++scratch.evaluations;
-      if (win[l] == scratch.warm) ++scratch.warm_start_hits;
-      scratch.warm = win[l];
-    }
+    for (std::size_t l = 0; l < lanes; ++l) sink(r + l, best[l], win[l]);
   }
-  return groups * 4;
+  return true;
 #else
-  (void)beliefs;
+  (void)rows;
   (void)count;
-  (void)out;
   (void)scratch;
-  return 0;
+  (void)sink;
+  return false;
 #endif
 }
 
@@ -334,8 +296,23 @@ void BoundSet::evaluate_batch(const double* beliefs, std::size_t count,
   span.arg("count", static_cast<double>(count));
   span.arg("planes", static_cast<double>(entries_.size()));
   ++scratch.batch_calls;
-  const std::size_t done = evaluate_batch_simd(beliefs, count, out.data(), scratch);
-  for (std::size_t i = done; i < count; ++i) {
+  // Whole tiles take the SIMD scan; the leftover rows keep the scalar
+  // path's pruning and warm start.
+  const std::size_t width = tile_width();
+  const std::size_t tiled = width == 0 ? 0 : count - count % width;
+  if (tiled > 0) {
+    RD_EXPECTS(scratch.wins.size() == entries_.size(),
+               "BoundSet::evaluate_batch: scratch not sized for this set");
+    tile_scan(beliefs, tiled, scratch.tiles,
+              [&](std::size_t row, double value, std::size_t winner) {
+                out[row] = value;
+                ++scratch.wins[winner];
+                ++scratch.evaluations;
+                if (winner == scratch.warm) ++scratch.warm_start_hits;
+                scratch.warm = winner;
+              });
+  }
+  for (std::size_t i = tiled; i < count; ++i) {
     out[i] = evaluate({beliefs + i * dimension_, dimension_}, scratch);
   }
 }
@@ -369,6 +346,20 @@ std::size_t BoundSet::best_index(std::span<const double> belief) const {
   std::size_t best = 0;
   (void)scan(belief, EvalScratch::kNone, &best, nullptr);
   return best;
+}
+
+void BoundSet::best_indices(const double* rows, std::size_t count,
+                            std::span<std::size_t> winners, TileScratch& scratch) const {
+  RD_EXPECTS(!entries_.empty(), "BoundSet: no vectors stored");
+  RD_EXPECTS(winners.size() >= count, "BoundSet::best_indices: winners too small");
+  const bool tiled = tile_scan(rows, count, scratch,
+                               [&](std::size_t row, double /*value*/, std::size_t winner) {
+                                 winners[row] = winner;
+                               });
+  if (tiled) return;
+  for (std::size_t r = 0; r < count; ++r) {
+    (void)scan({rows + r * dimension_, dimension_}, EvalScratch::kNone, &winners[r], nullptr);
+  }
 }
 
 const BoundVector& BoundSet::vector_at(std::size_t index) const {

@@ -78,6 +78,16 @@ class BoundSet {
   /// relies on this for its root-action fan-out.
   double evaluate(std::span<const double> belief) const;
 
+  /// Buffers of the SIMD tile scan behind evaluate_batch() and
+  /// best_indices(): the gathered row tile, its kept-column list and the
+  /// plane-pointer table. Caller-owned so repeated scans allocate nothing;
+  /// one per thread.
+  struct TileScratch {
+    std::vector<double> tile;
+    std::vector<std::size_t> cols;
+    std::vector<const double*> planes;
+  };
+
   /// Per-caller scratch for the hot-path evaluate() overloads: accumulates
   /// use-counter wins and bounds.eval.* tallies locally (no shared-memory
   /// RMW per leaf) and carries the warm-start winner between evaluations.
@@ -93,8 +103,7 @@ class BoundSet {
     std::uint64_t warm_start_hits = 0;  ///< warm plane turned out to be the winner
     std::uint64_t batch_calls = 0;      ///< evaluate_batch() invocations
 
-    /// 4-row transpose tile for the AVX2 batch kernel (scratch only).
-    std::vector<double> tile;
+    TileScratch tiles;  ///< SIMD tile-scan buffers (scratch only)
   };
 
   /// Sizes `scratch` for this set (wins has one slot per stored vector,
@@ -110,15 +119,15 @@ class BoundSet {
 
   /// Evaluates `count` beliefs stored row-major (count × dimension) in one
   /// pass, writing out[i] for row i. Bit-identical values and winners to
-  /// `count` sequential evaluate() calls in every SIMD mode: under
-  /// simd::Mode::Avx2 rows are transposed into 4-lane tiles and every
-  /// hyperplane is scanned with a 4-wide dot whose per-lane term order is
-  /// exactly linalg::dot's, so the full unpruned scan reproduces the pruned
-  /// scalar scan's max and lowest-index winner (pruning and warm starts are
+  /// `count` sequential evaluate() calls in every SIMD mode: under the
+  /// Avx2/Avx512 modes whole 4-/8-row groups go through the tile scan (see
+  /// best_indices()), whose full unpruned scan reproduces the pruned scalar
+  /// scan's max and lowest-index winner (pruning and warm starts are
   /// value-invariant by construction — only the planes_skipped tally
-  /// differs between modes). In scalar mode the warm start chains across
-  /// rows — consecutive leaves of an expansion frontier are usually won by
-  /// the same hyperplane.
+  /// differs between modes). Leftover rows, and every row in scalar mode,
+  /// take the scalar path, where the warm start chains across rows —
+  /// consecutive leaves of an expansion frontier are usually won by the
+  /// same hyperplane.
   void evaluate_batch(const double* beliefs, std::size_t count, std::span<double> out,
                       EvalScratch& scratch) const;
 
@@ -130,6 +139,20 @@ class BoundSet {
 
   /// Index of the hyperplane attaining the max at `belief`.
   std::size_t best_index(std::span<const double> belief) const;
+
+  /// Winners-out argmax of `count` non-negative rows stored row-major
+  /// (count × dimension): winners[r] = best_index(row r) for every r, bit
+  /// for bit in every SIMD mode. The Eq. 7 backup scores all of its touched
+  /// (action, observation) weight rows in this one call. Under Avx2/Avx512
+  /// the rows are gathered into 4-/8-lane tiles (a final partial tile is
+  /// zero-padded) and every hyperplane is scanned, four per pass, with
+  /// per-lane sums in linalg::dot's term order — a column that is zero in
+  /// every row of a tile is skipped, which leaves each sum unchanged — and
+  /// a strict `>` in ascending index, so the lowest index still wins ties.
+  /// In scalar mode each row takes the pruned scan of best_index(). Like
+  /// best_index(), it records no use of the winners.
+  void best_indices(const double* rows, std::size_t count, std::span<std::size_t> winners,
+                    TileScratch& scratch) const;
 
   /// Read access to a stored hyperplane.
   const BoundVector& vector_at(std::size_t index) const;
@@ -190,12 +213,14 @@ class BoundSet {
   double scan(std::span<const double> belief, std::size_t warm, std::size_t* winner,
               EvalScratch* scratch) const;
 
-  /// AVX2 batch scan over groups of 4 rows (full scan, lane-per-belief
-  /// dot4). Returns the number of leading rows handled (a multiple of 4; 0
-  /// when the build lacks the kernels). Remaining rows fall through to the
-  /// scalar per-row path.
-  std::size_t evaluate_batch_simd(const double* beliefs, std::size_t count, double* out,
-                                  EvalScratch& scratch) const;
+  /// The tile scan shared by evaluate_batch() and best_indices(): the full
+  /// argmax of row-major rows [0, count) in tiles of the active SIMD tier's
+  /// width, calling sink(row, max, winner) for each row in order. Returns
+  /// false, without scanning, in scalar mode or when the build lacks the
+  /// kernels.
+  template <class Sink>
+  bool tile_scan(const double* rows, std::size_t count, TileScratch& scratch,
+                 Sink&& sink) const;
 
   void evict_least_used();
 

@@ -55,18 +55,95 @@ namespace recoverd::linalg::simd {
 
 #if RECOVERD_SIMD_KERNELS_X86
 
-/// Four dot products against one shared vector: out[l] = Σ_i a[i]·tile[4i+l]
-/// for lanes l = 0..3. `tile` is an interleaved 4-lane layout (element i of
-/// lane l at tile[4i+l], e.g. four transposed beliefs); each lane's sum
-/// accumulates in ascending i — the exact order of linalg::dot.
-__attribute__((target("avx2"))) inline void dot4(const double* a, const double* tile,
-                                                 std::size_t n, double out[4]) {
-  __m256d acc = _mm256_setzero_pd();
+/// Builds the argmax4() tile from `lanes` (≤ 4) consecutive row-major rows
+/// of length n: slot j holds column cols[j] of the rows, lane l at
+/// tile[4j+l], and lanes past `lanes` read as +0.0. A column that is ±0 in
+/// every lane is dropped: its term b(i)·(±0) is ±0 for any finite plane,
+/// and adding ±0 leaves every dot sum unchanged, because a sum that starts
+/// at +0.0 can never be -0.0 (round-to-nearest gives x + (-x) = +0.0).
+/// Returns the number of kept columns (≤ n; `tile` holds 4n doubles,
+/// `cols` n entries).
+__attribute__((target("avx2"))) inline std::size_t gather_tile4(const double* rows,
+                                                                std::size_t lanes,
+                                                                std::size_t n,
+                                                                double* tile,
+                                                                std::size_t* cols) {
+  const long long stride = static_cast<long long>(n);
+  const __m256i index = _mm256_set_epi64x(3 * stride, 2 * stride, stride, 0);
+  const __m256d live = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(lanes)), _mm256_set_epi64x(3, 2, 1, 0)));
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const __m256d lanes = _mm256_loadu_pd(tile + 4 * i);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(a[i]), lanes));
+    const __m256d v = _mm256_mask_i64gather_pd(zero, rows + i, index, live, 8);
+    _mm256_storeu_pd(tile + 4 * m, v);
+    cols[m] = i;
+    m += _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_NEQ_UQ)) != 0 ? 1 : 0;
   }
-  _mm256_storeu_pd(out, acc);
+  return m;
+}
+
+/// One ascending-plane step of argmax4(): the lanes where `vals` strictly
+/// beats `best` take its value and the plane index p.
+__attribute__((target("avx2"))) inline void argmax4_take(__m256d vals, std::size_t p,
+                                                         __m256d& best, __m256d& win) {
+  const __m256d gt = _mm256_cmp_pd(vals, best, _CMP_GT_OQ);
+  best = _mm256_blendv_pd(best, vals, gt);
+  win = _mm256_blendv_pd(
+      win, _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(p))), gt);
+}
+
+/// Running argmax of four tile lanes over `count` planes: for each lane l,
+/// best[l] = max_p Σ_j planes[p][cols[j]]·tile[4j+l] and win[l] = the lowest
+/// p attaining it (`count` when no plane beats -∞). `tile` is the
+/// interleaved layout gather_tile4() builds from four rows: slot j holds
+/// the rows' column cols[j], cols ascending. Each lane's sum accumulates in
+/// ascending column order from 0.0 — the term order of linalg::dot over the
+/// kept columns — and planes are compared in ascending p with a strict `>`,
+/// so lane l reproduces the naive scalar scan's value and lowest-index
+/// winner bit for bit. Four planes share each pass over the tile: their
+/// independent accumulators hide the add latency a one-plane pass
+/// serializes on.
+__attribute__((target("avx2"))) inline void argmax4(const double* const* planes,
+                                                    std::size_t count, const double* tile,
+                                                    const std::size_t* cols, std::size_t m,
+                                                    double best[4], std::size_t win[4]) {
+  __m256d top = _mm256_set1_pd(-__builtin_inf());
+  __m256d arg = _mm256_castsi256_pd(_mm256_set1_epi64x(static_cast<long long>(count)));
+  std::size_t p = 0;
+  for (; p + 4 <= count; p += 4) {
+    const double* a0 = planes[p];
+    const double* a1 = planes[p + 1];
+    const double* a2 = planes[p + 2];
+    const double* a3 = planes[p + 3];
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      const __m256d lanes = _mm256_loadu_pd(tile + 4 * j);
+      const std::size_t c = cols[j];
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(a0[c]), lanes));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(a1[c]), lanes));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_set1_pd(a2[c]), lanes));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_set1_pd(a3[c]), lanes));
+    }
+    argmax4_take(acc0, p, top, arg);
+    argmax4_take(acc1, p + 1, top, arg);
+    argmax4_take(acc2, p + 2, top, arg);
+    argmax4_take(acc3, p + 3, top, arg);
+  }
+  for (; p < count; ++p) {
+    const double* a = planes[p];
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      const __m256d lanes = _mm256_loadu_pd(tile + 4 * j);
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(a[cols[j]]), lanes));
+    }
+    argmax4_take(acc, p, top, arg);
+  }
+  _mm256_storeu_pd(best, top);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(win), _mm256_castpd_si256(arg));
 }
 
 /// w[o] += row[o] · scale for o = 0..n-1 — the successor-expansion inner
@@ -111,18 +188,78 @@ __attribute__((target("avx2"))) inline void divide_in_place(double* v, double di
   for (; i < n; ++i) v[i] /= divisor;
 }
 
-/// Eight dot products against one shared vector: out[l] = Σ_i a[i]·tile[8i+l]
-/// for lanes l = 0..7 — the AVX-512 widening of dot4(). Each lane's sum
-/// accumulates in ascending i, the exact order of linalg::dot.
-RECOVERD_AVX512_TARGET inline void dot8(const double* a, const double* tile,
-                                        std::size_t n, double out[8]) {
-  RECOVERD_FP_NO_CONTRACT
-  __m512d acc = _mm512_setzero_pd();
+/// AVX-512 widening of gather_tile4(): up to eight rows, slot j at
+/// tile[8j] (`tile` holds 8n doubles), the same all-zero column drop.
+RECOVERD_AVX512_TARGET inline std::size_t gather_tile8(const double* rows, std::size_t lanes,
+                                                       std::size_t n, double* tile,
+                                                       std::size_t* cols) {
+  const long long stride = static_cast<long long>(n);
+  const __m512i index = _mm512_set_epi64(7 * stride, 6 * stride, 5 * stride, 4 * stride,
+                                         3 * stride, 2 * stride, stride, 0);
+  const __mmask8 live = static_cast<__mmask8>((1u << lanes) - 1u);
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const __m512d lanes = _mm512_loadu_pd(tile + 8 * i);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(a[i]), lanes));
+    const __m512d v = _mm512_mask_i64gather_pd(zero, live, index, rows + i, 8);
+    _mm512_storeu_pd(tile + 8 * m, v);
+    cols[m] = i;
+    m += _mm512_cmp_pd_mask(v, zero, _CMP_NEQ_UQ) != 0 ? 1 : 0;
   }
-  _mm512_storeu_pd(out, acc);
+  return m;
+}
+
+/// One ascending-plane step of argmax8(), as argmax4_take().
+RECOVERD_AVX512_TARGET inline void argmax8_take(__m512d vals, std::size_t p, __m512d& best,
+                                                __m512i& win) {
+  const __mmask8 gt = _mm512_cmp_pd_mask(vals, best, _CMP_GT_OQ);
+  best = _mm512_mask_blend_pd(gt, best, vals);
+  win = _mm512_mask_blend_epi64(gt, win, _mm512_set1_epi64(static_cast<long long>(p)));
+}
+
+/// AVX-512 widening of argmax4(): eight tile lanes (slot j at tile[8j]),
+/// the same per-lane term order, ascending-plane strict `>` and four planes
+/// per pass.
+RECOVERD_AVX512_TARGET inline void argmax8(const double* const* planes, std::size_t count,
+                                           const double* tile, const std::size_t* cols,
+                                           std::size_t m, double best[8],
+                                           std::size_t win[8]) {
+  RECOVERD_FP_NO_CONTRACT
+  __m512d top = _mm512_set1_pd(-__builtin_inf());
+  __m512i arg = _mm512_set1_epi64(static_cast<long long>(count));
+  std::size_t p = 0;
+  for (; p + 4 <= count; p += 4) {
+    const double* a0 = planes[p];
+    const double* a1 = planes[p + 1];
+    const double* a2 = planes[p + 2];
+    const double* a3 = planes[p + 3];
+    __m512d acc0 = _mm512_setzero_pd();
+    __m512d acc1 = _mm512_setzero_pd();
+    __m512d acc2 = _mm512_setzero_pd();
+    __m512d acc3 = _mm512_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      const __m512d lanes = _mm512_loadu_pd(tile + 8 * j);
+      const std::size_t c = cols[j];
+      acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(_mm512_set1_pd(a0[c]), lanes));
+      acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(_mm512_set1_pd(a1[c]), lanes));
+      acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(_mm512_set1_pd(a2[c]), lanes));
+      acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(_mm512_set1_pd(a3[c]), lanes));
+    }
+    argmax8_take(acc0, p, top, arg);
+    argmax8_take(acc1, p + 1, top, arg);
+    argmax8_take(acc2, p + 2, top, arg);
+    argmax8_take(acc3, p + 3, top, arg);
+  }
+  for (; p < count; ++p) {
+    const double* a = planes[p];
+    __m512d acc = _mm512_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      const __m512d lanes = _mm512_loadu_pd(tile + 8 * j);
+      acc = _mm512_add_pd(acc, _mm512_mul_pd(_mm512_set1_pd(a[cols[j]]), lanes));
+    }
+    argmax8_take(acc, p, top, arg);
+  }
+  _mm512_storeu_pd(best, top);
+  _mm512_storeu_si512(win, arg);
 }
 
 /// AVX-512 widening of accumulate_scaled(): w[o] += row[o] · scale, eight
@@ -167,26 +304,5 @@ RECOVERD_AVX512_TARGET inline void divide_in_place_avx512(double* v, double divi
 }
 
 #endif  // RECOVERD_SIMD_KERNELS_X86
-
-/// Gathers four row-major rows into the dot4() interleaved tile:
-/// tile[4i+l] = rows[l][i]. Pure data movement (no arithmetic), so it needs
-/// no AVX2 gate.
-inline void transpose4(const double* r0, const double* r1, const double* r2,
-                       const double* r3, std::size_t n, double* tile) {
-  for (std::size_t i = 0; i < n; ++i) {
-    tile[4 * i + 0] = r0[i];
-    tile[4 * i + 1] = r1[i];
-    tile[4 * i + 2] = r2[i];
-    tile[4 * i + 3] = r3[i];
-  }
-}
-
-/// Gathers eight row-major rows into the dot8() interleaved tile:
-/// tile[8i+l] = rows[l][i]. Pure data movement, so no ISA gate.
-inline void transpose8(const double* const rows[8], std::size_t n, double* tile) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t l = 0; l < 8; ++l) tile[8 * i + l] = rows[l][i];
-  }
-}
 
 }  // namespace recoverd::linalg::simd

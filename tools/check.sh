@@ -9,8 +9,9 @@
 #      §11 and their cross-decide carry-over of §15 — the topology-aware SCC
 #      solver's level/chunk threading, the batched decision engine + fleet
 #      driver of §13, the persistent work pool + deep-batch pipeline of §16,
-#      and the bound-artifact round trip under threaded evaluation), which
-#      exercise every cross-thread code path in the repo.
+#      the bound-artifact round trip under threaded evaluation, and
+#      concurrent Eq. 7 backups on their thread-local workspaces, §17),
+#      which exercise every cross-thread code path in the repo.
 #
 #   4. robustness: ASan/UBSan run of the guard/mismatch/fleet-guard/
 #      checkpoint/bound-artifact test binaries (the checkpoint and artifact
@@ -36,7 +37,15 @@
 #      the --simd=scalar episode line-for-line; elsewhere the forced flag
 #      must fail fast with the actionable error instead of crashing.
 #
-#   8. resilience: a smoke run of the fault-tolerant fleet campaign
+#   8. eq7: Eq. 7 backup tier parity (DESIGN.md §17). fig5a, fig5b and
+#      ablation_bootstrap run under --simd=scalar, avx2 and auto (each tier
+#      the host supports) and their stdout must be byte-identical; so must
+#      Table 1's, with only the AlgTime column masked.
+#
+#   9. bench: builds perfbench/ into .bench_build and runs its bench_smoke
+#      test (every benchmark workload at tiny sizes, all checks).
+#
+#  10. resilience: a smoke run of the fault-tolerant fleet campaign
 #      (DESIGN.md §14: guard ladder under every chaos axis, overload
 #      shedding, checkpoint round trip + corruption matrix; the binary exits
 #      nonzero when any survival/parity/crash-safety gate fails).
@@ -48,6 +57,8 @@
 #        SKIP_SCALING=1 tools/check.sh    # skip the scaling smoke
 #        SKIP_TRACE=1 tools/check.sh      # skip the trace smoke
 #        SKIP_THROUGHPUT=1 tools/check.sh # skip the throughput smoke
+#        SKIP_EQ7=1 tools/check.sh        # skip the Eq. 7 tier parity
+#        SKIP_BENCH=1 tools/check.sh      # skip the perfbench smoke
 #        SKIP_RESILIENCE=1 tools/check.sh # skip the resilience smoke
 #        JOBS=8 tools/check.sh     # override parallelism
 set -euo pipefail
@@ -79,7 +90,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
              linalg_parallel_solve_test obs_trace_test trace_parity_test \
              util_simd_test pomdp_batch_parity_test sim_fleet_test \
              sim_fleet_guard_test sim_checkpoint_test bounds_artifact_test \
-             util_pool_test pomdp_deep_batch_test
+             util_pool_test pomdp_deep_batch_test bounds_backup_parity_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
     -R "Parallel|Scc|Memo|Trace|Batch|Simd|Fleet|Checkpoint|Artifact|Carry|Pool|DeepBatch"
 fi
@@ -162,6 +173,52 @@ if [[ "${SKIP_THROUGHPUT:-0}" != "1" ]]; then
     fi
     grep -q -- "--simd=auto" /tmp/recoverd_avx512_err.txt
   fi
+fi
+
+if [[ "${SKIP_EQ7:-0}" != "1" ]]; then
+  echo "== eq7: Eq. 7 backup tier parity (fig5a/5b, ablation_bootstrap, Table 1) =="
+  cmake --build build -j "$JOBS" --target fig5a_bounds_improvement fig5b_bound_vectors \
+    ablation_bootstrap table1_fault_injection
+  tiers=(scalar)
+  if grep -q avx2 /proc/cpuinfo; then tiers+=(avx2); fi
+  tiers+=(auto)
+  # Table 1's AlgTime column is wall-clock time: blank it by character
+  # position (field splitting would misread the two-word "Most Likely").
+  mask_algtime() {
+    awk '/AlgTime\(ms\)/ { start = index($0, "AlgTime(ms)"); stop = index($0, "Actions") }
+         /^$/ { start = 0 }
+         start && length($0) >= stop {
+           pad = ""; for (i = start; i < stop; ++i) pad = pad "#"
+           $0 = substr($0, 1, start - 1) pad substr($0, stop)
+         }
+         { print }'
+  }
+  for tier in "${tiers[@]}"; do
+    ./build/bench/fig5a_bounds_improvement --simd="$tier" > "/tmp/recoverd_eq7_fig5a_$tier.txt"
+    ./build/bench/fig5b_bound_vectors --simd="$tier" > "/tmp/recoverd_eq7_fig5b_$tier.txt"
+    ./build/bench/ablation_bootstrap --faults=100 --simd="$tier" \
+      > "/tmp/recoverd_eq7_ablation_$tier.txt"
+    ./build/bench/table1_fault_injection --faults=200 --faults-d2=20 --faults-d3=5 \
+      --simd="$tier" 2> /dev/null | mask_algtime > "/tmp/recoverd_eq7_table1_$tier.txt"
+  done
+  for tier in "${tiers[@]:1}"; do
+    for out in fig5a fig5b ablation table1; do
+      diff "/tmp/recoverd_eq7_${out}_scalar.txt" "/tmp/recoverd_eq7_${out}_$tier.txt"
+    done
+  done
+fi
+
+if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
+  echo "== bench: perfbench build + bench_smoke (every workload, tiny sizes) =="
+  # Configured the way perfbench/run.py configures it, so either can reuse
+  # the other's tree.
+  if [[ ! -f .bench_build/CMakeCache.txt ]]; then
+    generator=()
+    if command -v ninja > /dev/null; then generator=(-G Ninja); fi
+    cmake -S perfbench -B .bench_build "${generator[@]}" -DCMAKE_BUILD_TYPE=Release
+  fi
+  cmake --build .bench_build -j "$JOBS"
+  ctest --test-dir .bench_build --output-on-failure
 fi
 
 if [[ "${SKIP_RESILIENCE:-0}" != "1" ]]; then
