@@ -20,7 +20,6 @@ EmnExperimentSetup parse_emn_setup(const CliArgs& args) {
   setup.bootstrap_runs = args.get_count("bootstrap-runs", 10);
   setup.bootstrap_depth = static_cast<int>(args.get_count("bootstrap-depth", 2));
   setup.jobs = args.get_jobs(1);
-  setup.memo = args.get_int("memo", 1) != 0;
   setup.memo_max_mb = args.get_size("memo-max-mb", 64);
   setup.mismatch = sim::parse_mismatch_options(args);
   setup.guard = controller::parse_guard_options(args);

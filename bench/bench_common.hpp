@@ -25,8 +25,7 @@ struct EmnExperimentSetup {
   std::size_t bootstrap_runs = 10;
   int bootstrap_depth = 2;
   std::size_t jobs = 1;  ///< worker threads for the episode runner (--jobs)
-  bool memo = true;      ///< expansion transposition cache (--memo=0 disables)
-  std::size_t memo_max_mb = 64;  ///< per-workspace cache cap (--memo-max-mb)
+  std::size_t memo_max_mb = 64;  ///< expansion cache cap (--memo-max-mb)
   /// Chaos axes (--mismatch-*) and guard runtime (--guard-*,
   /// --decide-deadline-ms); all default off, keeping clean campaigns exact.
   sim::MismatchOptions mismatch;
@@ -35,7 +34,7 @@ struct EmnExperimentSetup {
 
 /// Parses the common flags (--top, --seed, --capacity, --branch-floor,
 /// --termination-probability, --bootstrap-runs, --bootstrap-depth, --jobs,
-/// --memo, --memo-max-mb) plus the chaos/guard flags (see
+/// --memo-max-mb) plus the chaos/guard flags (see
 /// parse_mismatch_options / parse_guard_options).
 EmnExperimentSetup parse_emn_setup(const CliArgs& args);
 

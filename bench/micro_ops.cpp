@@ -241,35 +241,6 @@ BENCHMARK(BM_ExpansionEngine)
     ->ArgsProduct({{1, 2, 3}, {1, 10}})
     ->Unit(benchmark::kMicrosecond);
 
-// The controllers' full hot-path configuration — ScratchBoundLeaf (pruned
-// scan + warm start + batched frontiers) on a directly-owned engine — with
-// the transposition cache on (arg 1 = 1) or off (arg 1 = 0). The ratio per
-// depth is the headline number of DESIGN.md §11. Args: (depth, memo).
-void BM_ExpansionMemo(benchmark::State& state) {
-  const Pomdp& p = emn_recovery();
-  const Belief pi = uniform_fault_belief();
-  bounds::BoundSet set = bounds::make_ra_bound_set(p.mdp());
-  bounds::BoundSet::EvalScratch scratch;
-  set.begin_eval(scratch);
-  const bounds::ScratchBoundLeaf leaf{&set, &scratch};
-  ExpansionEngine engine(p);
-  ExpansionOptions opts;
-  opts.branch_floor = 1e-2;
-  opts.memo = state.range(1) != 0;
-  const int depth = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const auto best = engine.best_action(
-        pi.probabilities(), depth, SpanLeaf::of_batched(leaf, set.size() + 1), opts);
-    benchmark::DoNotOptimize(best.value);
-  }
-  set.flush_eval(scratch);
-  state.counters["memo"] = static_cast<double>(state.range(1));
-  state.counters["arena_bytes"] = static_cast<double>(engine.arena_bytes());
-}
-BENCHMARK(BM_ExpansionMemo)
-    ->ArgsProduct({{1, 2, 3}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
-
 // A fleet-like belief population: a small pool of distinct beliefs
 // (random action/observation histories off the uniform fault belief, long
 // enough to concentrate), with every lane drawn from the pool. Mirrors the

@@ -431,9 +431,7 @@ int run(const CliArgs& args) {
   fleet_options.observe_action = ids.topo.observe_action;
   fleet_options.tree_depth = 1;
   fleet_options.branch_floor = setup.branch_floor;
-  fleet_options.memo = setup.memo;
   fleet_options.memo_max_mb = setup.memo_max_mb;
-  fleet_options.memo_carry = args.get_bool("memo-carry", false);
   fleet_options.max_steps = 10000;
   fleet_options.guard.enabled = true;
   apply_fleet_resilience_flags(args, fleet_options);
@@ -710,7 +708,7 @@ int main(int argc, char** argv) {
       "out",             "top",          "seed",
       "capacity",        "branch-floor", "termination-probability",
       "bootstrap-runs",  "bootstrap-depth", "jobs",
-      "memo",            "memo-max-mb",     "memo-carry"};
+      "memo-max-mb"};
   for (std::string& name : recoverd::bench::robustness_flag_names())
     known.push_back(std::move(name));
   for (std::string& name : recoverd::sim::fleet_resilience_flag_names())

@@ -140,7 +140,6 @@ int run(const CliArgs& args) {
   controller::BoundedControllerOptions b_opts;
   b_opts.tree_depth = 1;
   b_opts.branch_floor = setup.branch_floor;
-  b_opts.memo = setup.memo;
   b_opts.memo_max_mb = setup.memo_max_mb;
 
   obs::Counter& escalation_counter =
@@ -285,7 +284,7 @@ int main(int argc, char** argv) {
       "out",         "faults",
       "max-steps",   "top",         "seed",
       "capacity",    "branch-floor", "termination-probability",
-      "bootstrap-runs", "bootstrap-depth", "jobs", "memo", "memo-max-mb"};
+      "bootstrap-runs", "bootstrap-depth", "jobs", "memo-max-mb"};
   const std::vector<std::string> robustness = recoverd::bench::robustness_flag_names();
   known.insert(known.end(), robustness.begin(), robustness.end());
   return recoverd::run_obs_main(argc, argv, std::move(known),

@@ -107,7 +107,6 @@ int run(const CliArgs& args) {
     controller::BoundedControllerOptions opts;
     opts.tree_depth = 1;
     opts.branch_floor = setup.branch_floor;
-    opts.memo = setup.memo;
     opts.memo_max_mb = setup.memo_max_mb;
     controller::BoundedController c(recovery, set, opts);
     c.set_guard_options(setup.guard);
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> known = {
       "faults", "faults-d2", "faults-d3", "top", "seed", "capacity",
       "branch-floor", "termination-probability", "bootstrap-runs",
-      "bootstrap-depth", "jobs", "memo", "memo-max-mb"};
+      "bootstrap-depth", "jobs", "memo-max-mb"};
   const std::vector<std::string> robustness = recoverd::bench::robustness_flag_names();
   known.insert(known.end(), robustness.begin(), robustness.end());
   return recoverd::run_obs_main(argc, argv, std::move(known),

@@ -42,7 +42,7 @@
 //   --out=FILE       JSON report (default BENCH_throughput.json; schema
 //                    recoverd.throughput.v1)
 //   --seed, --capacity, --branch-floor, --bootstrap-runs, --bootstrap-depth,
-//   --memo, --memo-max-mb, --simd, --metrics-out, --trace-out, ...
+//   --memo-max-mb, --simd, --metrics-out, --trace-out, ...
 //                    shared knobs (bench_common / util/obs_main.hpp)
 #include <algorithm>
 #include <cstdio>
@@ -289,9 +289,7 @@ int run(const CliArgs& args) {
   fleet_options.observe_action = ids.topo.observe_action;
   fleet_options.tree_depth = 1;
   fleet_options.branch_floor = setup.branch_floor;
-  fleet_options.memo = setup.memo;
   fleet_options.memo_max_mb = setup.memo_max_mb;
-  fleet_options.memo_carry = args.get_bool("memo-carry", false);
   fleet_options.max_steps = 10000;
 
   std::printf("=== Batched decision throughput (EMN fleet, depth 1) ===\n");
@@ -502,8 +500,8 @@ int main(int argc, char** argv) {
       "parity-sessions", "parity-ticks", "smoke",     "out",
       "top",      "seed",           "capacity",       "branch-floor",
       "termination-probability",    "bootstrap-runs", "bootstrap-depth",
-      "jobs",     "memo",           "memo-max-mb",    "memo-carry",
-      "deep-batch", "deep-depth",   "deep-sessions",  "deep-warmup"};
+      "jobs",     "memo-max-mb",    "deep-batch",     "deep-depth",
+      "deep-sessions", "deep-warmup"};
   const std::vector<std::string> robustness = recoverd::bench::robustness_flag_names();
   known.insert(known.end(), robustness.begin(), robustness.end());
   return recoverd::run_obs_main(argc, argv, std::move(known),

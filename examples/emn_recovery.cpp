@@ -8,7 +8,7 @@
 //                                    [--provenance-out=decisions.jsonl]
 //                                    [--episode-trace-out=episode.jsonl]
 //                                    [--bounds-out=b.rdb] [--bounds-in=b.rdb]
-//                                    [--memo-carry] [--anytime]
+//                                    [--anytime]
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -80,7 +80,6 @@ int run(const recoverd::CliArgs& args) {
 
   controller::BoundedControllerOptions opts;
   opts.branch_floor = 1e-2;
-  opts.memo_carry = args.get_bool("memo-carry", false);
   opts.anytime = args.get_bool("anytime", false);
   controller::BoundedController controller(recovery, set, opts);
 
@@ -158,6 +157,6 @@ int run(const recoverd::CliArgs& args) {
 int main(int argc, char** argv) {
   return recoverd::run_obs_main(argc, argv,
                                 {"fault", "seed", "episode-trace-out", "bounds-in",
-                                 "bounds-out", "memo-carry", "anytime"},
+                                 "bounds-out", "anytime"},
                                 run);
 }

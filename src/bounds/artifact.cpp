@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/crc64.hpp"
+#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace recoverd::bounds {
@@ -214,26 +215,11 @@ struct Reader {
   }
 };
 
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-std::uint64_t mix_in(std::uint64_t h, std::uint64_t v) { return mix64(h ^ v); }
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, 8);
-  return b;
-}
-
 }  // namespace
 
 std::uint64_t hash_mdp(const Mdp& mdp) {
+  using util::bits_of;
+  using util::mix_in;
   std::uint64_t h = 0x4c444d444e424452ULL;  // "RDBNDMDL"
   h = mix_in(h, mdp.num_states());
   h = mix_in(h, mdp.num_actions());

@@ -217,9 +217,9 @@ double BoundSet::evaluate(std::span<const double> belief) const {
   EvalInstruments& instruments = EvalInstruments::get();
   instruments.calls.add();
   if (tally.planes_skipped > 0) instruments.planes_skipped.add(tally.planes_skipped);
-  // Concurrent evaluations happen during the expansion engine's root
-  // fan-out; the use-count bump is the only write, made atomic so the race
-  // is benign. (Mutations — add/protect — still require exclusive access.)
+  // Concurrent evaluations of one set are allowed: the use-count bump is
+  // the only write, made atomic so the race is benign. (Mutations —
+  // add/protect — still require exclusive access.)
   std::atomic_ref<std::size_t>(entries_[best].uses)
       .fetch_add(1, std::memory_order_relaxed);
   return value;
@@ -321,7 +321,7 @@ void BoundSet::flush_eval(EvalScratch& scratch) const {
   RD_EXPECTS(scratch.wins.size() <= entries_.size(),
              "BoundSet::flush_eval: set shrank since begin_eval");
   // Ascending index order, one add per entry: deterministic counts for any
-  // mix of slots/workers, and |B| atomics per decide instead of one per leaf.
+  // mix of scratches, and |B| atomics per decide instead of one per leaf.
   for (std::size_t i = 0; i < scratch.wins.size(); ++i) {
     if (scratch.wins[i] == 0) continue;
     std::atomic_ref<std::size_t>(entries_[i].uses)

@@ -74,8 +74,7 @@ class BoundSet {
   /// (for least-used eviction). Precondition: at least one vector stored;
   /// `belief` has non-negative entries (the pruned scan's skip bound relies
   /// on it). Safe to call concurrently (the use-count bump is a relaxed
-  /// atomic) as long as no thread mutates the set — the expansion engine
-  /// relies on this for its root-action fan-out.
+  /// atomic) as long as no thread mutates the set.
   double evaluate(std::span<const double> belief) const;
 
   /// Buffers of the SIMD tile scan behind evaluate_batch() and
@@ -232,20 +231,17 @@ class BoundSet {
 };
 
 /// Devirtualized leaf binding for the expansion engine: evaluates a
-/// BoundSet with one EvalScratch per engine leaf slot (see
-/// ExpansionEngine::leaf_slots), giving every fan-out worker a private
-/// warm start and win tally. Shaped for SpanLeaf::of_batched — the engine
-/// calls operator() for single leaves and batch() for whole frontiers.
+/// BoundSet through one EvalScratch (warm start and win tally). Shaped for
+/// SpanLeaf::of_batched — the engine calls operator() for single leaves and
+/// batch() for whole frontiers.
 struct ScratchBoundLeaf {
   const BoundSet* set = nullptr;
-  BoundSet::EvalScratch* scratches = nullptr;  ///< one per leaf slot
+  BoundSet::EvalScratch* scratch = nullptr;
 
-  double operator()(std::span<const double> pi, std::size_t slot) const {
-    return set->evaluate(pi, scratches[slot]);
-  }
-  void batch(const double* beliefs, std::size_t count, std::size_t /*dim*/, double* out,
-             std::size_t slot) const {
-    set->evaluate_batch(beliefs, count, {out, count}, scratches[slot]);
+  double operator()(std::span<const double> pi) const { return set->evaluate(pi, *scratch); }
+  void batch(const double* beliefs, std::size_t count, std::size_t /*dim*/,
+             double* out) const {
+    set->evaluate_batch(beliefs, count, {out, count}, *scratch);
   }
 };
 

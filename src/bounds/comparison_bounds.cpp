@@ -49,25 +49,4 @@ BlindPolicyBoundResult compute_blind_policy_bounds(const Mdp& mdp,
   return result;
 }
 
-BlindPolicyBoundResult compute_blind_policy_bounds_linear(
-    const Mdp& mdp, double beta, const linalg::GaussSeidelOptions& options,
-    const linalg::SccSolveOptions& scc_options) {
-  RD_EXPECTS(beta > 0.0 && beta <= 1.0,
-             "compute_blind_policy_bounds_linear: beta must lie in (0,1]");
-  linalg::SccSolveOptions scc = scc_options;
-  scc.scale = beta;
-  BlindPolicyBoundResult result;
-  result.per_action.reserve(mdp.num_actions());
-  for (ActionId a = 0; a < mdp.num_actions(); ++a) {
-    const auto solve =
-        linalg::solve_fixed_point_scc(mdp.transition(a), mdp.rewards(a), options, scc);
-    BlindPolicyBound bound;
-    bound.action = a;
-    bound.status = solve.status;
-    if (solve.converged()) bound.values = solve.x;
-    result.per_action.push_back(std::move(bound));
-  }
-  return result;
-}
-
 }  // namespace recoverd::bounds

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bounds/bound_set.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "pomdp/mdp.hpp"
 #include "pomdp/value_iteration.hpp"
 
@@ -65,13 +64,5 @@ struct BlindPolicyBoundResult {
 /// Computes blind-policy bounds for every action.
 BlindPolicyBoundResult compute_blind_policy_bounds(
     const Mdp& mdp, const ValueIterationOptions& options = {});
-
-/// Same bounds through the topology-aware linear solver: V^{ba} solves the
-/// *linear* system x = r(·,a) + β P(a) x, so each action is one SCC-scheduled
-/// solve directly on P(a) — no value-iteration sweeps and no chain assembly.
-/// `beta` ∈ (0, 1]; `scc.scale` is owned by this function (set from β).
-BlindPolicyBoundResult compute_blind_policy_bounds_linear(
-    const Mdp& mdp, double beta = 1.0, const linalg::GaussSeidelOptions& options = {},
-    const linalg::SccSolveOptions& scc = {});
 
 }  // namespace recoverd::bounds

@@ -51,8 +51,8 @@ double SawtoothUpperBound::evaluate(std::span<const double> pi) const {
       winner = &point;
     }
   }
-  // Relaxed atomic so concurrent evaluations during root fan-out race
-  // benignly on the eviction statistic.
+  // Relaxed atomic so concurrent evaluations of one bound race benignly on
+  // the eviction statistic.
   if (winner != nullptr) {
     std::atomic_ref<std::size_t>(winner->uses).fetch_add(1, std::memory_order_relaxed);
   }

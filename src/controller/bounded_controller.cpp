@@ -63,9 +63,6 @@ void fill_expansion_provenance(obs::DecisionProvenance& record,
   record.expansion.memo_hits = stats.memo_hits;
   record.expansion.memo_misses = stats.memo_misses;
   record.expansion.memo_insertions = stats.memo_insertions;
-  record.expansion.memo_carry_hits = stats.memo_carry_hits;
-  record.expansion.memo_carry_misses = stats.memo_carry_misses;
-  record.expansion.memo_carry_invalidations = stats.memo_carry_invalidations;
   // Trim trailing all-zero levels so shallow trees emit short arrays.
   std::size_t levels = ExpansionNodeStats::kMaxLevels;
   while (levels > 0 && stats.nodes_per_level[levels - 1] == 0) --levels;
@@ -83,7 +80,6 @@ BoundedController::BoundedController(const Pomdp& model, bounds::BoundSet& set,
       engine_(model),
       batch_one_(model.num_states()) {
   RD_EXPECTS(options.tree_depth >= 1, "BoundedController: tree depth must be >= 1");
-  RD_EXPECTS(options.root_jobs >= 1, "BoundedController: root_jobs must be >= 1");
   RD_EXPECTS(set.dimension() == model.num_states(),
              "BoundedController: bound set dimension mismatch");
   RD_EXPECTS(set.size() > 0, "BoundedController: bound set must be seeded (RA-Bound)");
@@ -152,27 +148,17 @@ Decision BoundedController::decide() {
 
   ExpansionOptions expansion;
   expansion.branch_floor = options_.branch_floor;
-  expansion.root_jobs = options_.root_jobs;
-  expansion.memo = options_.memo;
   expansion.memo_max_bytes = options_.memo_max_mb << 20;
-  // Carry-over context: the bound-set generation identifies the leaf
-  // evaluator exactly — sampled here, after the improve_at() above may have
-  // bumped it, so stale values can never survive a set mutation.
-  expansion.memo_carry = options_.memo_carry;
-  expansion.memo_context = set_.generation();
   ExpansionNodeStats node_stats;
   if (provenance) expansion.stats = &node_stats;
 
-  // Devirtualized, slot-aware leaf: the engine hands already-normalised
-  // posterior spans (single beliefs or whole frontiers) straight to the
-  // pruned hyperplane max. Each leaf slot owns an EvalScratch — a private
-  // warm start plus locally accumulated use-counter wins — sized here, after
-  // improve_at() froze the set for the rest of the decision, and flushed
-  // once per decide() in fixed order so use counts stay deterministic.
-  const std::size_t slots = ExpansionEngine::leaf_slots(expansion);
-  if (eval_scratch_.size() < slots) eval_scratch_.resize(slots);
-  for (std::size_t s = 0; s < slots; ++s) set_.begin_eval(eval_scratch_[s]);
-  const bounds::ScratchBoundLeaf leaf{&set_, eval_scratch_.data()};
+  // Devirtualized leaf: the engine hands already-normalised posterior spans
+  // (single beliefs or whole frontiers) straight to the pruned hyperplane
+  // max. The EvalScratch — a warm start plus locally accumulated use-counter
+  // wins — is sized here, after improve_at() froze the set for the rest of
+  // the decision, and flushed once per decide().
+  set_.begin_eval(eval_scratch_);
+  const bounds::ScratchBoundLeaf leaf{&set_, &eval_scratch_};
   const SpanLeaf span_leaf = SpanLeaf::of_batched(leaf, set_.size() + 1);
 
   // Batch-of-one: decide() rides the same action_values_batch() entry point
@@ -211,7 +197,7 @@ Decision BoundedController::decide() {
   } else {
     batch_values(options_.tree_depth);
   }
-  for (std::size_t s = 0; s < slots; ++s) set_.flush_eval(eval_scratch_[s]);
+  set_.flush_eval(eval_scratch_);
   instruments.nodes_per_decide.observe(
       static_cast<double>(instruments.nodes_expanded.value() - nodes_before));
   const std::vector<ActionValue>& values = values_;
@@ -250,9 +236,8 @@ Decision BoundedController::decide() {
   // Anytime deepening: leftover deadline budget goes into Eq. 7 point
   // backups at this belief and the chosen action's successor beliefs, so
   // the bound arrives tighter at the *next* decide(). The decision above is
-  // already final — this only mutates set_, which bumps its generation and
-  // thereby invalidates any carried memo exactly. With no deadline
-  // configured the loop runs to the backup cap (deterministic).
+  // already final — this only mutates set_. With no deadline configured the
+  // loop runs to the backup cap (deterministic).
   std::uint64_t anytime_backups = 0;
   std::uint64_t anytime_added = 0;
   if (options_.anytime && !decision.terminate && decision.action != kInvalidId) {

@@ -43,23 +43,9 @@ struct BoundedControllerOptions {
   /// mass outside Sφ ∪ {sT}: the bound is already tight there and the
   /// update would only burn time (§4.3's cost-limiting advice).
   double improvement_min_fault_mass = 0.01;
-  /// Threads over which each decide() fans out the root actions (1 =
-  /// serial). The fan-out is exact — per-action subtrees are independent —
-  /// so any value yields bit-identical decisions; only wall-clock changes.
-  int root_jobs = 1;
-  /// Exact within-decide transposition cache over successor beliefs
-  /// (DESIGN.md §11). Hits are bit-identical to re-expansion, so decisions
-  /// are unchanged; only wall-clock improves. `memo_max_mb` caps the cache
-  /// (hash table + key arena) per expansion workspace.
-  bool memo = true;
+  /// Size cap of the exact within-decide transposition cache over successor
+  /// beliefs (DESIGN.md §11: hash table + key arena).
   std::size_t memo_max_mb = 64;
-  /// Cross-decide carry-over of the transposition cache (`--memo-carry`):
-  /// memoized subtree values survive between decide() calls and across root
-  /// actions, invalidated exactly when the bound set's generation bumps
-  /// (every online improvement) or the expansion options change. Hits are
-  /// bitwise-exact, so decisions are bit-identical with carry on or off;
-  /// repeated decides over a stable bound set skip most of the tree.
-  bool memo_carry = false;
   /// Anytime deepening (`--anytime`): after the decision is chosen, spend
   /// leftover per-decide deadline budget growing the bound set with Eq. 7
   /// point backups at the current belief and the chosen action's successor
@@ -110,9 +96,9 @@ class BoundedController : public BeliefTrackingController {
   BeliefBatch batch_one_;
   std::vector<ActionValue> batch_values_;  // lane-major batch output (1 lane)
   std::vector<ActionValue> values_;  // reused across decide() calls
-  /// One evaluate-scratch per engine leaf slot: private warm starts and
-  /// locally accumulated use-counter wins, flushed once per decide().
-  std::vector<bounds::BoundSet::EvalScratch> eval_scratch_;
+  /// Warm start and locally accumulated use-counter wins of the leaf
+  /// evaluations, flushed once per decide().
+  bounds::BoundSet::EvalScratch eval_scratch_;
 };
 
 }  // namespace recoverd::controller

@@ -108,7 +108,6 @@ Decision IntervalController::decide() {
   };
   ExpansionOptions expansion;
   expansion.branch_floor = options_.branch_floor;
-  expansion.memo = options_.memo;
   expansion.memo_max_bytes = options_.memo_max_mb << 20;
   ExpansionNodeStats node_stats;
   if (provenance) expansion.stats = &node_stats;

@@ -29,9 +29,8 @@ struct IntervalControllerOptions {
   /// on an inconsistent interval.
   bool repair_bound_crossings = true;
   double repair_tolerance = 1e-6;
-  /// Exact within-decide transposition cache (DESIGN.md §11); shared by the
-  /// lower- and upper-bound expansions (each runs on its own fresh cache).
-  bool memo = true;
+  /// Size cap of the exact within-decide transposition cache (DESIGN.md
+  /// §11); the lower- and upper-bound expansions each run on a fresh cache.
   std::size_t memo_max_mb = 64;
 };
 

@@ -90,12 +90,6 @@ MetricsSnapshot read_json_text(const std::string& text) {
   return snap;
 }
 
-MetricsSnapshot read_json(std::istream& is) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return read_json_text(buffer.str());
-}
-
 void write_csv(std::ostream& os, const MetricsSnapshot& snapshot) {
   CsvWriter csv(os);
   csv.write_row(std::vector<std::string>{"metric", "kind", "field", "value"});

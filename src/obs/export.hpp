@@ -37,7 +37,6 @@ void write_json(std::ostream& os, const MetricsSnapshot& snapshot);
 
 /// Parses a `recoverd.metrics.v1` document back into a snapshot (test
 /// round-trips, offline analysis). Throws ModelError on schema mismatch.
-MetricsSnapshot read_json(std::istream& is);
 MetricsSnapshot read_json_text(const std::string& text);
 
 /// Serialises a snapshot as CSV with a header row.

@@ -54,15 +54,6 @@ std::string provenance_to_json(const DecisionProvenance& record) {
   expansion["memo_hits"] = Json(record.expansion.memo_hits);
   expansion["memo_misses"] = Json(record.expansion.memo_misses);
   expansion["memo_insertions"] = Json(record.expansion.memo_insertions);
-  // Carry tallies likewise appear only under --memo-carry.
-  if (record.expansion.memo_carry_hits > 0 ||
-      record.expansion.memo_carry_misses > 0 ||
-      record.expansion.memo_carry_invalidations > 0) {
-    expansion["memo_carry_hits"] = Json(record.expansion.memo_carry_hits);
-    expansion["memo_carry_misses"] = Json(record.expansion.memo_carry_misses);
-    expansion["memo_carry_invalidations"] =
-        Json(record.expansion.memo_carry_invalidations);
-  }
   Json::Array levels;
   for (std::uint64_t n : record.expansion.nodes_per_level) levels.emplace_back(n);
   expansion["nodes_per_level"] = Json(std::move(levels));
@@ -124,14 +115,6 @@ DecisionProvenance provenance_from_json(const std::string& line) {
       static_cast<std::uint64_t>(expansion.at("memo_misses").as_number());
   record.expansion.memo_insertions =
       static_cast<std::uint64_t>(expansion.at("memo_insertions").as_number());
-  if (expansion.contains("memo_carry_hits")) {
-    record.expansion.memo_carry_hits =
-        static_cast<std::uint64_t>(expansion.at("memo_carry_hits").as_number());
-    record.expansion.memo_carry_misses =
-        static_cast<std::uint64_t>(expansion.at("memo_carry_misses").as_number());
-    record.expansion.memo_carry_invalidations = static_cast<std::uint64_t>(
-        expansion.at("memo_carry_invalidations").as_number());
-  }
   for (const Json& level : expansion.at("nodes_per_level").as_array()) {
     record.expansion.nodes_per_level.push_back(
         static_cast<std::uint64_t>(level.as_number()));

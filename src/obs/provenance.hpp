@@ -42,12 +42,6 @@ struct ExpansionProvenance {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   std::uint64_t memo_insertions = 0;
-  /// Cross-decide carry-over tallies (zero unless --memo-carry): hits served
-  /// by an earlier expansion, misses while carrying, and whole-cache
-  /// invalidations (bound-set generation bump or option change).
-  std::uint64_t memo_carry_hits = 0;
-  std::uint64_t memo_carry_misses = 0;
-  std::uint64_t memo_carry_invalidations = 0;
   std::vector<std::uint64_t> nodes_per_level;  ///< size <= kMaxProvenanceLevels
 };
 

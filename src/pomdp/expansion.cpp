@@ -11,7 +11,7 @@
 #include "pomdp/belief.hpp"
 #include "pomdp/belief_batch.hpp"
 #include "util/check.hpp"
-#include "util/work_pool.hpp"
+#include "util/hash.hpp"
 
 namespace recoverd {
 
@@ -36,27 +36,19 @@ obs::Counter& workspace_reuses_counter() {
   return c;
 }
 
-obs::Counter& parallel_batches_counter() {
-  static obs::Counter& c = obs::metrics().counter("pomdp.engine.parallel_batches");
-  return c;
-}
-
 obs::Gauge& arena_peak_bytes_gauge() {
   static obs::Gauge& g = obs::metrics().gauge("pomdp.engine.arena_peak_bytes");
   return g;
 }
 
-// Transposition-cache instruments (DESIGN.md §11). Tallied per workspace
-// during the walk and drained once per expansion, so fan-out workers never
-// touch the shared counters from the hot loop.
+// Transposition-cache instruments (DESIGN.md §11). Tallied in the
+// workspace during the walk and drained once per expansion, so the hot loop
+// never touches the shared counters.
 struct MemoInstruments {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& insertions;
   obs::Counter& capped;
-  obs::Counter& carry_hits;
-  obs::Counter& carry_misses;
-  obs::Counter& carry_invalidations;
   obs::Gauge& bytes;
 
   static MemoInstruments& get() {
@@ -65,9 +57,6 @@ struct MemoInstruments {
         obs::metrics().counter("pomdp.memo.misses"),
         obs::metrics().counter("pomdp.memo.insertions"),
         obs::metrics().counter("pomdp.memo.capped"),
-        obs::metrics().counter("expansion.memo.carry_hits"),
-        obs::metrics().counter("expansion.memo.carry_misses"),
-        obs::metrics().counter("expansion.memo.carry_invalidations"),
         obs::metrics().gauge("pomdp.memo.bytes"),
     };
     return instruments;
@@ -85,14 +74,6 @@ void check_common_options(const Pomdp& pomdp, std::span<const double> belief,
              "ExpansionEngine: cannot mask the only action");
   RD_EXPECTS(o.branch_floor >= 0.0 && o.branch_floor < 1.0,
              "ExpansionEngine: branch floor must lie in [0,1)");
-  RD_EXPECTS(o.root_jobs >= 1, "ExpansionEngine: root_jobs must be >= 1");
-}
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  h *= 0x100000001b3ULL;
-  h ^= h >> 29;
-  return h;
 }
 
 // Batch-engine instruments (DESIGN.md §13): one `calls` bump per
@@ -136,19 +117,6 @@ struct DeepInstruments {
     return instruments;
   }
 };
-
-// Belief-bits hash shared by root canonicalization and the deep pipeline's
-// per-level node tables: FNV-style mix over the raw double bits. Equality
-// is always confirmed by memcmp, so collisions can only split classes.
-std::uint64_t hash_belief_bits(const double* row, std::size_t num_states) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t s = 0; s < num_states; ++s) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, row + s, sizeof(bits));
-    h = mix64(h, bits);
-  }
-  return h;
-}
 }  // namespace
 
 // One tree level of the arena: the successor buffers of the node currently
@@ -203,12 +171,10 @@ struct ExpansionEngine::Frame {
 // key even though the cache never outlives a fixed-option call.
 //
 // Clearing is O(1) via an epoch stamp (capacities persist, so the steady
-// state allocates nothing); the cache is cleared at the start of every
-// root-action subtree, which is what keeps every observable — values, leaf
-// evaluations, memo tallies — invariant across root_jobs worker counts:
-// each action's subtree always runs against a fresh cache, no matter which
-// worker computes it. The size cap stops admission rather than evicting;
-// entries only live until the next root action anyway.
+// state allocates nothing); action_values() clears the cache at the start
+// of every root-action subtree (see root_action_future) and value() once
+// per call. The size cap stops admission rather than evicting; entries only
+// live until the next clear anyway.
 struct ExpansionEngine::MemoCache {
   struct Slot {
     std::uint64_t hash = 0;
@@ -216,7 +182,6 @@ struct ExpansionEngine::MemoCache {
     std::int32_t depth = -1;         // remaining subtree depth of the entry
     std::size_t key_offset = 0;      // into keys_, units of doubles
     double value = 0.0;
-    std::uint32_t era = 0;           // expansion era the entry was inserted in
   };
 
   std::vector<Slot> slots;   // power-of-two capacity
@@ -226,59 +191,24 @@ struct ExpansionEngine::MemoCache {
   std::uint32_t epoch = 0;
   std::uint64_t seed = 0;
   std::size_t max_bytes = 0;
-  bool enabled = false;
   bool capped = false;  // admission stopped until the next clear
-
-  // Carry-over state (ExpansionOptions::memo_carry): while carrying, the
-  // per-root-action and per-call clears are skipped and the cache lives
-  // until configure() sees a different option seed or memo_context — the
-  // exact-invalidation contract. `era` stamps each entry with the
-  // configure() round that inserted it, so hits on entries from an earlier
-  // expansion are classified as carry hits (classification only; never
-  // read by the walk).
-  bool carry = false;
-  std::uint64_t context = 0;
-  std::uint32_t era = 0;
 
   // Per-expansion tallies, drained by note_expansion_finished().
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
   std::uint64_t capped_insertions = 0;
-  std::uint64_t carry_hits = 0;
-  std::uint64_t carry_misses = 0;
-  std::uint64_t carry_invalidations = 0;
 
   std::size_t bytes() const {
     return slots.capacity() * sizeof(Slot) + keys.capacity() * sizeof(double);
   }
 
   void configure(const ExpansionOptions& o) {
-    enabled = o.memo;
     max_bytes = o.memo_max_bytes;
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &o.beta, sizeof(bits));
-    h = mix64(h, bits);
-    std::memcpy(&bits, &o.branch_floor, sizeof(bits));
-    h = mix64(h, bits);
-    const std::uint64_t new_seed = mix64(h, static_cast<std::uint64_t>(o.skip_action));
-    const bool was_carrying = carry;
-    carry = o.memo_carry;
-    if (carry) {
-      // A carried entry is only exact while the options that keyed it and
-      // the leaf evaluator behind it are unchanged; any drift discards the
-      // whole cache (O(1) epoch bump), never individual entries.
-      const bool stale =
-          !was_carrying || new_seed != seed || o.memo_context != context;
-      if (stale) {
-        if (was_carrying && count > 0) ++carry_invalidations;
-        clear();
-      }
-    }
-    seed = new_seed;
-    context = o.memo_context;
-    ++era;
+    h = util::fnv_step(h, util::bits_of(o.beta));
+    h = util::fnv_step(h, util::bits_of(o.branch_floor));
+    seed = util::fnv_step(h, static_cast<std::uint64_t>(o.skip_action));
   }
 
   // O(1): invalidates every entry by bumping the epoch; capacities persist.
@@ -294,12 +224,8 @@ struct ExpansionEngine::MemoCache {
 
   std::uint64_t hash_key(std::span<const double> belief, int depth) const {
     std::uint64_t h = seed;
-    for (double d : belief) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &d, sizeof(bits));
-      h = mix64(h, bits);
-    }
-    h = mix64(h, static_cast<std::uint64_t>(depth));
+    for (double d : belief) h = util::fnv_step(h, util::bits_of(d));
+    h = util::fnv_step(h, static_cast<std::uint64_t>(depth));
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
@@ -310,7 +236,6 @@ struct ExpansionEngine::MemoCache {
               double* value) {
     if (slots.empty() || count == 0) {
       ++misses;
-      if (carry) ++carry_misses;
       return false;
     }
     const std::size_t mask = slots.size() - 1;
@@ -322,12 +247,10 @@ struct ExpansionEngine::MemoCache {
                       belief.size() * sizeof(double)) == 0) {
         *value = s.value;
         ++hits;
-        if (carry && s.era != era) ++carry_hits;  // served by an earlier expansion
         return true;
       }
     }
     ++misses;
-    if (carry) ++carry_misses;
     return false;
   }
 
@@ -343,7 +266,7 @@ struct ExpansionEngine::MemoCache {
     std::size_t i = hash & mask;
     while (slots[i].epoch == epoch) i = (i + 1) & mask;
     std::memcpy(keys.data() + keys_used, belief.data(), dim * sizeof(double));
-    slots[i] = Slot{hash, epoch, depth, keys_used, value, era};
+    slots[i] = Slot{hash, epoch, depth, keys_used, value};
     keys_used += dim;
     ++count;
     ++insertions;
@@ -382,23 +305,11 @@ struct ExpansionEngine::MemoCache {
   }
 };
 
-// One independent traversal context: `frames[l]` serves tree level l. The
-// main workspace serves serial expansions; root fan-out gives each worker
-// thread a private workspace — including a private memo cache and leaf
-// slot — so subtrees never share mutable state.
+// The traversal context of the iterative walk: `frames[l]` serves tree
+// level l, beside the memo cache and the leaf-frontier scratch.
 struct ExpansionEngine::Workspace {
-  explicit Workspace(std::size_t leaf_slot) : slot(leaf_slot) {}
-
   std::vector<Frame> frames;
   MemoCache memo;
-  std::size_t slot = 0;  // leaf slot passed to SpanLeaf calls
-
-  // Provenance tallies (ExpansionOptions::stats): private per workspace so
-  // fan-out workers never contend, folded deterministically by
-  // note_expansion_finished(). `collect_stats` mirrors options.stats !=
-  // nullptr for the current expansion.
-  ExpansionNodeStats local_stats;
-  bool collect_stats = false;
 
   // Frontier scratch (evaluate_frontier): leaf values in branch order, the
   // memo hash per branch, and the gathered cache-miss rows fed to the leaf
@@ -566,7 +477,7 @@ void ExpansionEngine::Frame::finish_action(const Pomdp& pomdp,
 }
 
 ExpansionEngine::ExpansionEngine(const Pomdp& pomdp)
-    : pomdp_(&pomdp), main_(std::make_unique<Workspace>(0)) {}
+    : pomdp_(&pomdp), ws_(std::make_unique<Workspace>()) {}
 
 ExpansionEngine::~ExpansionEngine() = default;
 
@@ -577,8 +488,9 @@ ExpansionEngine::~ExpansionEngine() = default;
 // then inserted. Value and kept-mass accumulate in ascending branch order
 // afterwards, so the floating-point sums are bit-identical to the
 // branch-at-a-time reference regardless of the hit/miss split.
-void ExpansionEngine::evaluate_frontier(Workspace& ws, Frame& fr, const SpanLeaf& leaf,
+void ExpansionEngine::evaluate_frontier(Frame& fr, const SpanLeaf& leaf,
                                         const ExpansionOptions& options) {
+  Workspace& ws = *ws_;
   const std::size_t num_states = pomdp_->num_states();
   const std::size_t n = fr.num_kept;
   if (n == 0) return;
@@ -592,18 +504,17 @@ void ExpansionEngine::evaluate_frontier(Workspace& ws, Frame& fr, const SpanLeaf
   // cache's probe+insert (~3 |S|-passes: hash, memcmp, key copy). Cheap
   // leaves — a freshly seeded 1-plane RA-Bound set is one dot — skip the
   // cache entirely; the values are identical either way.
-  const bool memo_leaves = memo.enabled && leaf.cost_hint() > 3;
-  if (!memo_leaves) {
+  if (leaf.cost_hint() <= 3) {
     // Every child is a "miss" and the rows are already contiguous.
     if (leaf.has_batch() && n > 1) {
-      leaf.batch(fr.posteriors.data(), n, num_states, values, ws.slot);
+      leaf.batch(fr.posteriors.data(), n, num_states, values);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        values[i] = leaf({fr.posteriors.data() + i * num_states, num_states}, ws.slot);
+        values[i] = leaf({fr.posteriors.data() + i * num_states, num_states});
       }
     }
     leaf_evaluations_counter().add(n);
-    if (ws.collect_stats) ws.local_stats.leaf_evaluations += n;
+    if (options.stats != nullptr) options.stats->leaf_evaluations += n;
   } else {
     ws.frontier_hashes.resize(n);
     ws.frontier_miss_rows.resize(n * num_states);
@@ -626,16 +537,14 @@ void ExpansionEngine::evaluate_frontier(Workspace& ws, Frame& fr, const SpanLeaf
     if (miss_count > 0) {
       double* miss_values = ws.frontier_miss_values.data();
       if (leaf.has_batch() && miss_count > 1) {
-        leaf.batch(ws.frontier_miss_rows.data(), miss_count, num_states, miss_values,
-                   ws.slot);
+        leaf.batch(ws.frontier_miss_rows.data(), miss_count, num_states, miss_values);
       } else {
         for (std::size_t j = 0; j < miss_count; ++j) {
-          miss_values[j] =
-              leaf({ws.frontier_miss_rows.data() + j * num_states, num_states}, ws.slot);
+          miss_values[j] = leaf({ws.frontier_miss_rows.data() + j * num_states, num_states});
         }
       }
       leaf_evaluations_counter().add(miss_count);
-      if (ws.collect_stats) ws.local_stats.leaf_evaluations += miss_count;
+      if (options.stats != nullptr) options.stats->leaf_evaluations += miss_count;
       for (std::size_t j = 0; j < miss_count; ++j) {
         const std::size_t i = ws.frontier_miss_index[j];
         values[i] = miss_values[j];
@@ -660,18 +569,19 @@ void ExpansionEngine::evaluate_frontier(Workspace& ws, Frame& fr, const SpanLeaf
 // recursive reference implementation, with memoized subtrees spliced in at
 // the point their value would have been computed. Precondition: depth >= 1
 // and the workspace holds base_level + depth frames.
-double ExpansionEngine::expand_iterative(Workspace& ws, std::size_t base_level,
+double ExpansionEngine::expand_iterative(std::size_t base_level,
                                          std::span<const double> belief, int depth,
                                          const SpanLeaf& leaf,
                                          const ExpansionOptions& options) {
   const Pomdp& pomdp = *pomdp_;
   const std::size_t num_states = pomdp.num_states();
+  Workspace& ws = *ws_;
   MemoCache& memo = ws.memo;
   std::size_t top = base_level;
   ws.frames[top].begin_node(belief, pomdp, options);
   // Frame index == root distance on the action_values path (base_level 1
-  // under a root successor), which is the only path that plumbs stats.
-  if (ws.collect_stats) ws.local_stats.note_node(top);
+  // under a root successor).
+  if (options.stats != nullptr) options.stats->note_node(top);
   for (;;) {
     Frame& fr = ws.frames[top];
     if (fr.done) {
@@ -679,15 +589,12 @@ double ExpansionEngine::expand_iterative(Workspace& ws, std::size_t base_level,
       if (top == base_level) return node_value;
       --top;
       Frame& parent = ws.frames[top];
-      if (memo.enabled) {
-        // The finished subtree's root belief is still intact in the parent
-        // posterior row (the parent only refills its buffers after folding
-        // this value); cache it at the subtree's remaining depth.
-        memo.insert(
-            {parent.posteriors.data() + parent.branch * num_states, num_states},
-            depth - static_cast<int>(top + 1 - base_level), parent.pending_hash,
-            node_value);
-      }
+      // The finished subtree's root belief is still intact in the parent
+      // posterior row (the parent only refills its buffers after folding
+      // this value); cache it at the subtree's remaining depth.
+      memo.insert({parent.posteriors.data() + parent.branch * num_states, num_states},
+                  depth - static_cast<int>(top + 1 - base_level), parent.pending_hash,
+                  node_value);
       parent.value_acc += (options.beta * parent.pending_gamma) * node_value;
       ++parent.branch;
       if (parent.branch == parent.num_kept) parent.finish_action(pomdp, options);
@@ -696,7 +603,7 @@ double ExpansionEngine::expand_iterative(Workspace& ws, std::size_t base_level,
     // fr has an open action with fr.branch < fr.num_kept.
     const int remaining = depth - static_cast<int>(top - base_level);
     if (remaining == 1) {  // children of this node are leaves
-      evaluate_frontier(ws, fr, leaf, options);
+      evaluate_frontier(fr, leaf, options);
       fr.finish_action(pomdp, options);
       continue;
     }
@@ -706,39 +613,40 @@ double ExpansionEngine::expand_iterative(Workspace& ws, std::size_t base_level,
     fr.kept_mass += gamma;
     const std::span<const double> child(fr.posteriors.data() + fr.branch * num_states,
                                         num_states);
-    if (memo.enabled) {
-      const std::uint64_t h = memo.hash_key(child, remaining - 1);
-      double cached = 0.0;
-      if (memo.lookup(child, remaining - 1, h, &cached)) {
-        fr.value_acc += (options.beta * gamma) * cached;
-        ++fr.branch;
-        if (fr.branch == fr.num_kept) fr.finish_action(pomdp, options);
-        continue;
-      }
-      fr.pending_hash = h;
+    const std::uint64_t h = memo.hash_key(child, remaining - 1);
+    double cached = 0.0;
+    if (memo.lookup(child, remaining - 1, h, &cached)) {
+      fr.value_acc += (options.beta * gamma) * cached;
+      ++fr.branch;
+      if (fr.branch == fr.num_kept) fr.finish_action(pomdp, options);
+      continue;
     }
+    fr.pending_hash = h;
     fr.pending_gamma = gamma;
     ++top;
     ws.frames[top].begin_node(child, pomdp, options);
-    if (ws.collect_stats) ws.local_stats.note_node(top);
+    if (options.stats != nullptr) options.stats->note_node(top);
   }
 }
 
 // Future value of `action` at the root belief: β Σ_o γ(o) V_{d-1}(π^o)
 // with sub-floor branches pruned and the kept mass renormalised. Uses
-// frames[0] for the root successors and frames[1..] for the subtrees. The
-// memo cache is cleared here — once per root action — so each action's
-// subtree runs against a fresh cache no matter which fan-out worker
-// computes it (the determinism contract of DESIGN.md §11).
-double ExpansionEngine::root_action_future(Workspace& ws, std::span<const double> belief,
-                                           ActionId action, int depth, const SpanLeaf& leaf,
+// frames[0] for the root successors and frames[1..] for the subtrees.
+//
+// The memo cache is cleared here, once per root action. Sharing it across
+// actions would leave every value unchanged but would skip the leaf
+// evaluations of posteriors two actions share. Each evaluation bumps the
+// winning plane's use count, and BoundSet's least-used eviction reads those
+// counts, so fewer evaluations could evict a different plane later and
+// change later decisions (DESIGN.md §11).
+double ExpansionEngine::root_action_future(std::span<const double> belief, ActionId action,
+                                           int depth, const SpanLeaf& leaf,
                                            const ExpansionOptions& options) {
   const Pomdp& pomdp = *pomdp_;
   const std::size_t num_states = pomdp.num_states();
+  Workspace& ws = *ws_;
   MemoCache& memo = ws.memo;
-  // Carry-over keeps the cache across root actions and across calls: hits
-  // are bitwise-exact, so values stay identical — only the tallies change.
-  if (memo.enabled && !memo.carry) memo.clear();
+  memo.clear();
   Frame& fr = ws.frames[0];
   fr.num_kept = expand_successors_into(pomdp, belief, action, options.branch_floor,
                                        fr.pred, fr.weight, fr.branch_of, fr.kept,
@@ -751,7 +659,7 @@ double ExpansionEngine::root_action_future(Workspace& ws, std::span<const double
   fr.kept_mass = 0.0;
   fr.branch = 0;
   if (depth == 1) {
-    evaluate_frontier(ws, fr, leaf, options);
+    evaluate_frontier(fr, leaf, options);
   } else {
     for (std::size_t i = 0; i < fr.num_kept; ++i) {
       const double gamma = fr.weight[fr.kept[i]];
@@ -759,15 +667,10 @@ double ExpansionEngine::root_action_future(Workspace& ws, std::span<const double
       const std::span<const double> child(fr.posteriors.data() + i * num_states,
                                           num_states);
       double child_value = 0.0;
-      std::uint64_t h = 0;
-      bool hit = false;
-      if (memo.enabled) {
-        h = memo.hash_key(child, depth - 1);
-        hit = memo.lookup(child, depth - 1, h, &child_value);
-      }
-      if (!hit) {
-        child_value = expand_iterative(ws, 1, child, depth - 1, leaf, options);
-        if (memo.enabled) memo.insert(child, depth - 1, h, child_value);
+      const std::uint64_t h = memo.hash_key(child, depth - 1);
+      if (!memo.lookup(child, depth - 1, h, &child_value)) {
+        child_value = expand_iterative(1, child, depth - 1, leaf, options);
+        memo.insert(child, depth - 1, h, child_value);
       }
       fr.value_acc += (options.beta * gamma) * child_value;
     }
@@ -776,28 +679,12 @@ double ExpansionEngine::root_action_future(Workspace& ws, std::span<const double
   return fr.value_acc / fr.kept_mass;
 }
 
-void ExpansionEngine::compute_action_value_range(Workspace& ws,
-                                                 std::span<const double> belief, int depth,
-                                                 const SpanLeaf& leaf,
-                                                 const ExpansionOptions& options,
-                                                 std::size_t begin, std::size_t step,
-                                                 std::vector<ActionValue>& out) {
-  ws.ensure(depth);
-  ws.memo.configure(options);
-  ws.collect_stats = options.stats != nullptr;
-  if (ws.collect_stats) ws.local_stats.reset();
-  const Pomdp& pomdp = *pomdp_;
-  for (std::size_t a = begin; a < pomdp.num_actions(); a += step) {
-    if (a == options.skip_action) {
-      out[a] = {a, kNegInf};
-      continue;
-    }
-    obs::TraceSpan span("expansion.root_action", obs::TraceLevel::Full);
-    span.arg("action", static_cast<double>(a));
-    const double immediate = linalg::dot(pomdp.mdp().rewards(a), belief);
-    const double future = root_action_future(ws, belief, a, depth, leaf, options);
-    out[a] = {a, immediate + future};
-  }
+// Readies the workspace for one expansion: frames for `depth` levels, the
+// memo keyed to these options, and the provenance tallies zeroed.
+void ExpansionEngine::begin_expansion(int depth, const ExpansionOptions& options) {
+  ws_->ensure(depth);
+  ws_->memo.configure(options);
+  if (options.stats != nullptr) options.stats->reset();
 }
 
 double ExpansionEngine::value(std::span<const double> belief, int depth,
@@ -810,18 +697,13 @@ double ExpansionEngine::value(std::span<const double> belief, int depth,
       options.stats->reset();
       options.stats->leaf_evaluations = 1;
     }
-    return leaf(belief, main_->slot);
+    return leaf(belief);
   }
-  main_->ensure(depth);
-  main_->memo.configure(options);
-  main_->collect_stats = options.stats != nullptr;
-  if (main_->collect_stats) main_->local_stats.reset();
-  // value() is always serial, so one cache may span the whole tree: root
-  // actions share subtree values here, which action_values() forgoes for
-  // cross-worker determinism. Under carry-over the cache additionally
-  // survives across calls (configure() above handled invalidation).
-  if (main_->memo.enabled && !main_->memo.carry) main_->memo.clear();
-  const double result = expand_iterative(*main_, 0, belief, depth, leaf, options);
+  begin_expansion(depth, options);
+  // One cache spans value()'s whole tree, so root actions share subtree
+  // values here; action_values() clears per root action instead.
+  ws_->memo.clear();
+  const double result = expand_iterative(0, belief, depth, leaf, options);
   note_expansion_finished(options.stats);
   return result;
 }
@@ -831,39 +713,28 @@ void ExpansionEngine::action_values(std::span<const double> belief, int depth,
                                     std::vector<ActionValue>& out) {
   RD_EXPECTS(depth >= 1, "ExpansionEngine::action_values: depth must be >= 1");
   check_common_options(*pomdp_, belief, options);
-  const std::size_t num_actions = pomdp_->num_actions();
+  const Pomdp& pomdp = *pomdp_;
+  const std::size_t num_actions = pomdp.num_actions();
   nodes_expanded_counter().add();  // the root Max node
   out.assign(num_actions, ActionValue{});
 
-  const auto jobs =
-      std::min<std::size_t>(static_cast<std::size_t>(options.root_jobs), num_actions);
   obs::TraceSpan span("expansion.action_values", obs::TraceLevel::Decide);
   span.arg("depth", static_cast<double>(depth));
-  span.arg("jobs", static_cast<double>(jobs));
-  if (jobs <= 1) {
-    compute_action_value_range(*main_, belief, depth, leaf, options, 0, 1, out);
-  } else {
-    // Root fan-out: worker t computes actions t, t+jobs, t+2·jobs, … on a
-    // private workspace (leaf slot t). Per-action values are independent
-    // (the max over actions commutes with who computes each operand) and
-    // the memo cache is cleared per action, so the results are bit-identical
-    // to the serial loop for any worker count.
-    parallel_batches_counter().add();
-    while (pool_.size() < jobs) pool_.push_back(std::make_unique<Workspace>(pool_.size()));
-    util::WorkPool::instance().run(jobs, [&](std::size_t t) {
-      obs::TraceSpan worker_span("expansion.worker", obs::TraceLevel::Full);
-      worker_span.arg("worker", static_cast<double>(t));
-      compute_action_value_range(*pool_[t], belief, depth, leaf, options, t, jobs, out);
-    });
+  begin_expansion(depth, options);
+  for (ActionId a = 0; a < num_actions; ++a) {
+    if (a == options.skip_action) {
+      out[a] = {a, kNegInf};
+      continue;
+    }
+    obs::TraceSpan action_span("expansion.root_action", obs::TraceLevel::Full);
+    action_span.arg("action", static_cast<double>(a));
+    const double immediate = linalg::dot(pomdp.mdp().rewards(a), belief);
+    out[a] = {a, immediate + root_action_future(belief, a, depth, leaf, options)};
   }
-  if (options.stats != nullptr) {
-    // The root Max node (counted into nodes_expanded_counter above) is
-    // level 0; the workspaces only see its children onward.
-    note_expansion_finished(options.stats);
-    options.stats->note_node(0);
-  } else {
-    note_expansion_finished(nullptr);
-  }
+  note_expansion_finished(options.stats);
+  // The root Max node (counted into nodes_expanded_counter above) is level
+  // 0; the walk only sees its children onward.
+  if (options.stats != nullptr) options.stats->note_node(0);
 }
 
 ActionValue ExpansionEngine::best_action(std::span<const double> belief, int depth,
@@ -897,7 +768,7 @@ std::size_t ExpansionEngine::canonicalize_roots(const BeliefBatch& batch) {
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     double* row = batch_rows_.data() + lane * num_states;
     batch.copy_lane(lane, {row, num_states});
-    const std::uint64_t h = hash_belief_bits(row, num_states);
+    const std::uint64_t h = util::hash_belief_bits(row, num_states);
     batch_hashes_[lane] = h;
     auto& bucket = batch_buckets_[h];
     std::size_t cls = batch_reps_.size();
@@ -1096,7 +967,7 @@ bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
             // performs — *before* canonicalizing, so the child key is the
             // bit pattern the leaf/subtree actually sees.
             linalg::normalize_probability({post, num_states});
-            const std::uint64_t h = hash_belief_bits(post, num_states);
+            const std::uint64_t h = util::hash_belief_bits(post, num_states);
             std::size_t child = next_count;
             std::size_t pos = h & d.table.mask;
             while (d.table.slots[pos] != 0) {
@@ -1138,12 +1009,10 @@ bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
     obs::TraceSpan leaf_span("expansion.deep_leaf_frontier", obs::TraceLevel::Full);
     leaf_span.arg("count", static_cast<double>(cur_count));
     if (leaf.has_batch() && cur_count > 1) {
-      leaf.batch(d.rows.data(), cur_count, num_states, d.child_values.data(),
-                 main_->slot);
+      leaf.batch(d.rows.data(), cur_count, num_states, d.child_values.data());
     } else {
       for (std::size_t i = 0; i < cur_count; ++i) {
-        d.child_values[i] = leaf({d.rows.data() + i * num_states, num_states},
-                                 main_->slot);
+        d.child_values[i] = leaf({d.rows.data() + i * num_states, num_states});
       }
     }
     leaf_evaluations_counter().add(cur_count);
@@ -1226,7 +1095,6 @@ void ExpansionEngine::action_values_batch_deep(const BeliefBatch& batch, int dep
              "ExpansionEngine: cannot mask the only action");
   RD_EXPECTS(options.branch_floor >= 0.0 && options.branch_floor < 1.0,
              "ExpansionEngine: branch floor must lie in [0,1)");
-  RD_EXPECTS(options.root_jobs >= 1, "ExpansionEngine: root_jobs must be >= 1");
   const std::size_t lanes = batch.size();
   out.assign(lanes * num_actions, ActionValue{});
   if (stats != nullptr) *stats = BatchExpansionStats{};
@@ -1269,74 +1137,30 @@ void ExpansionEngine::decide_batch_deep(const BeliefBatch& batch, int depth,
 }
 
 std::size_t ExpansionEngine::arena_bytes() const {
-  std::size_t total = main_->bytes();
-  for (const auto& ws : pool_) total += ws->bytes();
+  std::size_t total = ws_->bytes();
   if (deep_) total += deep_->bytes();
   return total;
 }
 
 void ExpansionEngine::note_expansion_finished(ExpansionNodeStats* stats) {
-  // Drain the per-workspace memo tallies in a fixed order (main, then the
-  // pool by worker index). Runs after any fan-out joins, so the shared
-  // counters see one deterministic batch per expansion. The provenance
-  // stats fold in the same pass and the same order — integer sums, so the
-  // result is identical for any worker count.
-  if (stats != nullptr) stats->reset();
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t capped = 0;
-  std::uint64_t carry_hits = 0;
-  std::uint64_t carry_misses = 0;
-  std::uint64_t carry_invalidations = 0;
-  std::size_t memo_bytes = 0;
-  auto drain = [&](Workspace& ws) {
-    hits += ws.memo.hits;
-    misses += ws.memo.misses;
-    insertions += ws.memo.insertions;
-    capped += ws.memo.capped_insertions;
-    carry_hits += ws.memo.carry_hits;
-    carry_misses += ws.memo.carry_misses;
-    carry_invalidations += ws.memo.carry_invalidations;
-    ws.memo.hits = ws.memo.misses = ws.memo.insertions = ws.memo.capped_insertions = 0;
-    ws.memo.carry_hits = ws.memo.carry_misses = ws.memo.carry_invalidations = 0;
-    memo_bytes += ws.memo.bytes();
-    if (stats != nullptr && ws.collect_stats) {
-      stats->nodes += ws.local_stats.nodes;
-      stats->leaf_evaluations += ws.local_stats.leaf_evaluations;
-      for (std::size_t l = 0; l < ExpansionNodeStats::kMaxLevels; ++l) {
-        stats->nodes_per_level[l] += ws.local_stats.nodes_per_level[l];
-      }
-    }
-    ws.local_stats.reset();
-    ws.collect_stats = false;
-  };
-  drain(*main_);
-  for (const auto& ws : pool_) drain(*ws);
+  // Drain the memo tallies once per expansion: into the provenance stats
+  // when asked, and into the shared counters.
+  MemoCache& memo = ws_->memo;
   if (stats != nullptr) {
-    stats->memo_hits = hits;
-    stats->memo_misses = misses;
-    stats->memo_insertions = insertions;
-    stats->memo_carry_hits = carry_hits;
-    stats->memo_carry_misses = carry_misses;
-    stats->memo_carry_invalidations = carry_invalidations;
+    stats->memo_hits = memo.hits;
+    stats->memo_misses = memo.misses;
+    stats->memo_insertions = memo.insertions;
   }
-  if (hits + misses + insertions + capped + carry_hits + carry_misses +
-          carry_invalidations > 0) {
+  if (memo.hits + memo.misses + memo.insertions + memo.capped_insertions > 0) {
     MemoInstruments& instruments = MemoInstruments::get();
-    if (hits > 0) instruments.hits.add(hits);
-    if (misses > 0) instruments.misses.add(misses);
-    if (insertions > 0) instruments.insertions.add(insertions);
-    if (capped > 0) instruments.capped.add(capped);
-    if (carry_hits > 0) instruments.carry_hits.add(carry_hits);
-    if (carry_misses > 0) instruments.carry_misses.add(carry_misses);
-    if (carry_invalidations > 0) {
-      instruments.carry_invalidations.add(carry_invalidations);
-    }
-    if (static_cast<double>(memo_bytes) > instruments.bytes.value()) {
-      instruments.bytes.set(static_cast<double>(memo_bytes));
-    }
+    if (memo.hits > 0) instruments.hits.add(memo.hits);
+    if (memo.misses > 0) instruments.misses.add(memo.misses);
+    if (memo.insertions > 0) instruments.insertions.add(memo.insertions);
+    if (memo.capped_insertions > 0) instruments.capped.add(memo.capped_insertions);
+    const auto memo_bytes = static_cast<double>(memo.bytes());
+    if (memo_bytes > instruments.bytes.value()) instruments.bytes.set(memo_bytes);
   }
+  memo.hits = memo.misses = memo.insertions = memo.capped_insertions = 0;
 
   const std::size_t bytes = arena_bytes();
   if (bytes > peak_arena_bytes_) {

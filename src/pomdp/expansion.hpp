@@ -16,11 +16,11 @@
 // paths — absorbing states, deterministic repairs, commuting histories —
 // are expanded once. Because identical bit patterns at identical depth
 // produce identical subtree values under the engine's fixed operation
-// order, cache hits are bit-identical to the uncached walk; the cache is
-// cleared at the start of every root-action subtree so values *and* every
-// instrument stay invariant across root_jobs worker counts. Leaf frontiers
-// (the children of depth-1 nodes) are additionally evaluated through the
-// SpanLeaf batch entry point in one pass over the cache misses.
+// order, cache hits are bit-identical to the uncached walk. action_values()
+// clears the cache at the start of every root-action subtree, which fixes
+// how many leaf evaluations a decide makes (see root_action_future). Leaf
+// frontiers (the children of depth-1 nodes) are additionally evaluated
+// through the SpanLeaf batch entry point in one pass over the cache misses.
 //
 // Arithmetic is kept bit-identical to the recursive reference: the same
 // operation order (immediate reward via linalg::dot, kept-mass accumulated
@@ -30,8 +30,8 @@
 // same skip_action masking and branch_floor semantics, and the same
 // pomdp.bellman.* / pomdp.belief.* instrument updates. The parity test
 // suite (tests/pomdp_expansion_parity_test.cpp) holds the two paths equal
-// on randomized models, and tests/pomdp_memo_test.cpp holds memo-on equal
-// to memo-off bitwise.
+// on randomized models, and tests/pomdp_memo_test.cpp holds the memoized
+// walk equal to the memo-free reference bitwise on hit-heavy models.
 //
 // bellman_value / bellman_action_values / bellman_best_action / apply_lp in
 // bellman.hpp remain the convenient entry points; they are now thin
@@ -87,12 +87,6 @@ struct BatchExpansionStats {
 /// trivially copyable, inlineable call through a known pointer pair) and
 /// keeps the pomdp layer free of a dependency on bounds.
 ///
-/// The engine passes a *leaf slot* with every call: the index of the
-/// workspace performing the evaluation (0 for serial expansions; the
-/// fan-out worker index under root_jobs, always < leaf_slots(options)).
-/// Slot-aware evaluators (ScratchBoundLeaf) use it to give each worker a
-/// private scratch; plain callables wrapped with of() ignore it.
-///
 /// An evaluator may additionally expose a *batch* entry point that
 /// evaluates `count` beliefs stored row-major in one pass — the engine
 /// routes whole leaf frontiers through it (all cache-miss children of a
@@ -107,14 +101,14 @@ struct BatchExpansionStats {
 /// (a bound set costs about one dot per stored plane). The engine memoizes
 /// leaf values only when the hint exceeds the cache's own probe+insert
 /// cost (~3 passes) — caching a 1-plane evaluation would spend more on
-/// hashing than it saves. Wrappers that can't know the cost (`of`,
-/// `of_slotted`) default to kDefaultCostHint, i.e. "assume memoizing pays";
-/// the hint never affects values, only whether depth-0 results are cached.
+/// hashing than it saves. A wrapper that can't know the cost (`of`)
+/// defaults to kDefaultCostHint, i.e. "assume memoizing pays"; the hint
+/// never affects values, only whether depth-0 results are cached.
 class SpanLeaf {
  public:
-  using Fn = double (*)(const void*, std::span<const double>, std::size_t);
+  using Fn = double (*)(const void*, std::span<const double>);
   using BatchFn = void (*)(const void*, const double* beliefs, std::size_t count,
-                           std::size_t dim, double* out, std::size_t slot);
+                           std::size_t dim, double* out);
 
   static constexpr std::size_t kDefaultCostHint = 16;
 
@@ -123,53 +117,38 @@ class SpanLeaf {
       : fn_(fn), batch_(batch), ctx_(ctx), cost_hint_(cost_hint) {}
 
   /// Wraps any callable `double(std::span<const double>)` by reference
-  /// (slot-oblivious, no batch path).
+  /// (no batch path).
   template <class F>
   static SpanLeaf of(const F& f) {
     return SpanLeaf(
-        [](const void* ctx, std::span<const double> pi, std::size_t) {
+        [](const void* ctx, std::span<const double> pi) {
           return (*static_cast<const F*>(ctx))(pi);
         },
         &f);
   }
 
-  /// Wraps a callable `double(std::span<const double>, std::size_t slot)`.
-  template <class F>
-  static SpanLeaf of_slotted(const F& f) {
-    return SpanLeaf(
-        [](const void* ctx, std::span<const double> pi, std::size_t slot) {
-          return (*static_cast<const F*>(ctx))(pi, slot);
-        },
-        &f);
-  }
-
-  /// Wraps an evaluator exposing both `operator()(span, slot)` and
-  /// `batch(beliefs, count, dim, out, slot)` (e.g. bounds::ScratchBoundLeaf).
+  /// Wraps an evaluator exposing both `operator()(span)` and
+  /// `batch(beliefs, count, dim, out)` (e.g. bounds::ScratchBoundLeaf).
   /// Pass the per-evaluation cost in |S|-passes when known (a bound set:
   /// `set.size() + 1`).
   template <class F>
   static SpanLeaf of_batched(const F& f, std::size_t cost_hint = kDefaultCostHint) {
     return SpanLeaf(
-        [](const void* ctx, std::span<const double> pi, std::size_t slot) {
-          return (*static_cast<const F*>(ctx))(pi, slot);
+        [](const void* ctx, std::span<const double> pi) {
+          return (*static_cast<const F*>(ctx))(pi);
         },
         &f,
         [](const void* ctx, const double* beliefs, std::size_t count, std::size_t dim,
-           double* out, std::size_t slot) {
-          static_cast<const F*>(ctx)->batch(beliefs, count, dim, out, slot);
-        },
+           double* out) { static_cast<const F*>(ctx)->batch(beliefs, count, dim, out); },
         cost_hint);
   }
 
-  double operator()(std::span<const double> pi, std::size_t slot = 0) const {
-    return fn_(ctx_, pi, slot);
-  }
+  double operator()(std::span<const double> pi) const { return fn_(ctx_, pi); }
 
   bool has_batch() const { return batch_ != nullptr; }
 
-  void batch(const double* beliefs, std::size_t count, std::size_t dim, double* out,
-             std::size_t slot) const {
-    batch_(ctx_, beliefs, count, dim, out, slot);
+  void batch(const double* beliefs, std::size_t count, std::size_t dim, double* out) const {
+    batch_(ctx_, beliefs, count, dim, out);
   }
 
   std::size_t cost_hint() const { return cost_hint_; }
@@ -185,9 +164,7 @@ class SpanLeaf {
 /// decision-provenance records (obs/provenance.hpp). Unlike the global
 /// pomdp.bellman.* counters — which concurrent episodes under --jobs write
 /// into simultaneously — these are tallied inside the engine's private
-/// workspaces and folded in a fixed order (main workspace, then fan-out
-/// workers by index) after any join, so they describe exactly one
-/// expansion and are bit-identical across root_jobs worker counts.
+/// workspace, so they describe exactly one expansion.
 struct ExpansionNodeStats {
   /// Per-level tallies cover root distance 0 (the root Max node) through
   /// kMaxLevels-1; deeper nodes fold into the last slot. Meaningful on the
@@ -199,12 +176,6 @@ struct ExpansionNodeStats {
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
   std::uint64_t memo_insertions = 0;
-  /// Carry-over tallies (meaningful when ExpansionOptions::memo_carry is
-  /// on): hits on entries inserted by an *earlier* expansion, misses while
-  /// carrying, and carried caches discarded by a seed/context change.
-  std::uint64_t memo_carry_hits = 0;
-  std::uint64_t memo_carry_misses = 0;
-  std::uint64_t memo_carry_invalidations = 0;
   std::array<std::uint64_t, kMaxLevels> nodes_per_level{};
 
   void reset() { *this = ExpansionNodeStats{}; }
@@ -220,38 +191,12 @@ struct ExpansionOptions {
   double beta = 1.0;             ///< discount per tree level, in [0,1]
   ActionId skip_action = kInvalidId;  ///< mask one action out of every max
   double branch_floor = 0.0;     ///< prune branches below this likelihood
-  /// Number of threads over which action_values() fans out the root
-  /// actions (1 = serial). Child subtrees never share mutable state, so the
-  /// fan-out is exact: each action's value is computed by the same serial
-  /// code on a private workspace. Leaf evaluators must be thread-safe when
-  /// root_jobs > 1 (BoundSet::evaluate and SawtoothUpperBound::evaluate
-  /// are; slot-aware evaluators get a distinct slot per worker).
-  int root_jobs = 1;
-  /// Exact transposition cache over successor beliefs (DESIGN.md §11).
-  /// Hits are bit-identical to re-expanding, so this is safe to leave on;
-  /// turning it off recovers the PR 2 walk exactly (useful for parity
-  /// tests and as the baseline of BM_ExpansionMemo).
-  bool memo = true;
-  /// Size cap for the cache (hash table + belief-key arena) per workspace.
-  /// When reached, further insertions are dropped for the rest of the
-  /// root-action subtree (lookups keep working); nothing is evicted, since
-  /// entries only live until the next root action clears the cache.
+  /// Size cap for the exact transposition cache over successor beliefs
+  /// (DESIGN.md §11: hash table + belief-key arena). When reached, further
+  /// insertions are dropped for the rest of the root-action subtree
+  /// (lookups keep working); nothing is evicted, since entries only live
+  /// until the next root action clears the cache.
   std::size_t memo_max_bytes = 64ull << 20;
-  /// Cross-decide/cross-episode carry-over: keep memoized subtree values
-  /// across root actions AND across engine calls instead of clearing per
-  /// root-action subtree. Hits are bitwise-exact (an entry returns exactly
-  /// what re-expanding its subtree would compute), so *decisions and
-  /// values* stay bit-identical with carry on or off and for any root_jobs
-  /// count — only the work tallies (hits/misses/leaf evaluations) may
-  /// differ, since workers' carried caches depend on the actions they
-  /// solved before. The carried cache is discarded exactly when the option
-  /// seed (beta/branch_floor/skip_action) or `memo_context` changes.
-  bool memo_carry = false;
-  /// Identity of everything a carried value depends on beyond the options:
-  /// callers MUST change it whenever the leaf evaluator's output may change
-  /// (controllers pass the BoundSet generation, so any bound-set mutation
-  /// invalidates the carried cache exactly). Ignored unless memo_carry.
-  std::uint64_t memo_context = 0;
   /// Deep-pipeline node budget (action_values_batch_deep only): when any
   /// tree level's distinct-node count would exceed this, the pipeline
   /// abandons the level-wise expansion and falls back to the per-class
@@ -270,9 +215,7 @@ struct ExpansionOptions {
 };
 
 /// Iterative Max-Avg expansion over a reusable workspace arena. One engine
-/// per controller (or thread); an engine is not safe for concurrent use,
-/// but action_values() may internally fan root actions out across threads
-/// with private per-thread workspaces.
+/// per controller (or thread); an engine is not safe for concurrent use.
 class ExpansionEngine {
  public:
   explicit ExpansionEngine(const Pomdp& pomdp);
@@ -285,12 +228,6 @@ class ExpansionEngine {
   /// bellman.cpp.
   void rebind(const Pomdp& pomdp) { pomdp_ = &pomdp; }
   const Pomdp& pomdp() const { return *pomdp_; }
-
-  /// Number of distinct leaf slots calls with `options` can use — size
-  /// slot-indexed evaluator scratch (one EvalScratch per slot) with this.
-  static std::size_t leaf_slots(const ExpansionOptions& options) {
-    return static_cast<std::size_t>(std::max(1, options.root_jobs));
-  }
 
   /// Depth-d Bellman value V_d(π) (Eq. 2); depth 0 returns leaf(π).
   double value(std::span<const double> belief, int depth, const SpanLeaf& leaf,
@@ -318,8 +255,8 @@ class ExpansionEngine {
   /// member lane. Classes are solved in first-occurrence lane order, each
   /// against engine state identical to a standalone call (the memo cache is
   /// cleared per root action), so every lane's values are bit-identical to
-  /// looping action_values() over the lanes — for any batch composition,
-  /// SIMD mode, and root_jobs count. `options.stats`, when set, describes
+  /// looping action_values() over the lanes — for any batch composition
+  /// and SIMD mode. `options.stats`, when set, describes
   /// the last class solved (exactly the single call for a batch of one).
   void action_values_batch(const BeliefBatch& batch, int depth, const SpanLeaf& leaf,
                            const ExpansionOptions& options, std::vector<ActionValue>& out,
@@ -342,7 +279,7 @@ class ExpansionEngine {
   /// subtree's value is a pure function of (belief bits, remaining depth)
   /// under the engine's fixed operation order, the back-substituted values
   /// are bit-identical to action_values_batch() — for any batch
-  /// composition, SIMD mode, root_jobs count, and memo setting. When a
+  /// composition and SIMD mode. When a
   /// level would exceed options.deep_node_budget the call falls back to
   /// action_values_batch() (stats->deep reports which path ran).
   void action_values_batch_deep(const BeliefBatch& batch, int depth, const SpanLeaf& leaf,
@@ -357,7 +294,7 @@ class ExpansionEngine {
                          BatchExpansionStats* stats = nullptr);
 
   /// Current arena footprint in bytes (sum of scratch-buffer and memo-cache
-  /// capacities across all levels and worker workspaces).
+  /// capacities across all levels and the deep pipeline).
   std::size_t arena_bytes() const;
 
  private:
@@ -366,18 +303,12 @@ class ExpansionEngine {
   struct Workspace;
   struct DeepScratch;
 
-  double expand_iterative(Workspace& ws, std::size_t base_level,
-                          std::span<const double> belief, int depth, const SpanLeaf& leaf,
-                          const ExpansionOptions& options);
-  double root_action_future(Workspace& ws, std::span<const double> belief, ActionId action,
-                            int depth, const SpanLeaf& leaf,
-                            const ExpansionOptions& options);
-  void compute_action_value_range(Workspace& ws, std::span<const double> belief, int depth,
-                                  const SpanLeaf& leaf, const ExpansionOptions& options,
-                                  std::size_t begin, std::size_t step,
-                                  std::vector<ActionValue>& out);
-  void evaluate_frontier(Workspace& ws, Frame& fr, const SpanLeaf& leaf,
-                         const ExpansionOptions& options);
+  void begin_expansion(int depth, const ExpansionOptions& options);
+  double expand_iterative(std::size_t base_level, std::span<const double> belief, int depth,
+                          const SpanLeaf& leaf, const ExpansionOptions& options);
+  double root_action_future(std::span<const double> belief, ActionId action, int depth,
+                            const SpanLeaf& leaf, const ExpansionOptions& options);
+  void evaluate_frontier(Frame& fr, const SpanLeaf& leaf, const ExpansionOptions& options);
   void note_expansion_finished(ExpansionNodeStats* stats);
 
   // Batch plumbing shared by the classic and deep entry points.
@@ -391,9 +322,8 @@ class ExpansionEngine {
                          std::vector<ActionValue>& best);
 
   const Pomdp* pomdp_;
-  std::unique_ptr<Workspace> main_;
-  std::vector<std::unique_ptr<Workspace>> pool_;  // root fan-out workers
-  std::vector<ActionValue> scratch_values_;       // best_action() scratch
+  std::unique_ptr<Workspace> ws_;
+  std::vector<ActionValue> scratch_values_;  // best_action() scratch
   std::size_t peak_arena_bytes_ = 0;
 
   // Batch canonicalization scratch (capacities persist across ticks).

@@ -8,15 +8,24 @@
 
 #include "util/check.hpp"
 #include "util/crc64.hpp"
+#include "util/hash.hpp"
 
 namespace recoverd::sim {
 
 namespace {
 
+using util::bits_of;
 using util::crc64;
+using util::mix_in;
 
 constexpr std::uint64_t kMagic = 0x314b43544c464452ULL;  // "RDFLTCK1" LE
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8;           // magic+version+len
+// Bytes each session stores beside its belief row (see the writer): slot
+// rng, environment snapshot and the four per-slot u64 arrays; chaos adds an
+// rng, the guard a ladder byte, two u64s and a GuardRuntime::State.
+constexpr std::size_t kSessionBytes = 32 + 72 + 4 * 8;
+constexpr std::size_t kChaosSessionBytes = 32;
+constexpr std::size_t kGuardSessionBytes = 1 + 2 * 8 + 26;
 
 // ---- byte-buffer writer/reader -----------------------------------------
 
@@ -54,6 +63,16 @@ struct Reader {
                      "short; restore from an intact checkpoint");
     }
   }
+  /// Overflow-safe guard for count×elem_size reads: a corrupted count field
+  /// fails here, before anything is allocated, instead of in reserve().
+  void need_array(std::uint64_t count, std::size_t elem_size, const char* what) {
+    if (count > (size - pos) / elem_size) {
+      fail(path, std::string("implausible ") + what + " count " +
+                     std::to_string(count) + " (would need " + std::to_string(count) +
+                     "×" + std::to_string(elem_size) + " bytes, file has " +
+                     std::to_string(size - pos) + " left) — the file is corrupted");
+    }
+  }
   std::uint8_t u8(const char* what) {
     need(1, what);
     return data[pos++];
@@ -83,23 +102,6 @@ struct Reader {
     return {u64(what), u64(what), u64(what), u64(what)};
   }
 };
-
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-std::uint64_t mix_in(std::uint64_t h, std::uint64_t v) { return mix64(h ^ v); }
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, 8);
-  return b;
-}
 
 std::uint64_t hash_sparse(std::uint64_t h, const linalg::SparseMatrix& m) {
   h = mix_in(h, m.rows());
@@ -296,11 +298,15 @@ FleetCheckpoint read_fleet_checkpoint(const std::string& path) {
 
   const std::uint64_t n = cp.sessions;
   // A corrupted sessions/num_states field would make the loops below demand
-  // absurd byte counts; the need() checks turn that into "truncated", but
-  // catch the obvious case with a better message first.
+  // absurd byte counts: bound both by the bytes left before reserving.
   if (n == 0 || cp.num_states == 0) {
     fail(path, "empty fleet dimensions — the file is corrupted");
   }
+  r.need_array(n,
+               kSessionBytes + (has_chaos ? kChaosSessionBytes : 0) +
+                   (has_guard ? kGuardSessionBytes : 0),
+               "session");
+  r.need_array(cp.num_states, n * sizeof(double), "belief state");
   cp.slot_rng.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) cp.slot_rng.push_back(r.rng("slot rng"));
   cp.envs.reserve(n);

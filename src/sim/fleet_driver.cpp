@@ -9,6 +9,7 @@
 #include "obs/trace.hpp"
 #include "sim/checkpoint.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace recoverd::sim {
@@ -16,35 +17,6 @@ namespace recoverd::sim {
 namespace {
 
 constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
-
-// FNV-style bit-pattern hash over a belief row — same idiom as the engine's
-// batch canonicalization: equal bits always collide into one bucket, and a
-// spurious bucket collision is resolved by memcmp, so distinct patterns can
-// only ever *split* cache entries, never merge them.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-std::uint64_t hash_belief_bits(const double* belief, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t s = 0; s < n; ++s) {
-    std::uint64_t bits;
-    std::memcpy(&bits, belief + s, sizeof(bits));
-    h = mix64(h ^ bits);
-  }
-  return h;
-}
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
 
 // Busy-wait for an injected, unguarded decide stall — the cost a production
 // fleet would really pay when one session's solve hangs inside a lock-step
@@ -115,7 +87,6 @@ struct FleetInstruments {
 }  // namespace
 
 void apply_fleet_resilience_flags(const CliArgs& args, FleetOptions& options) {
-  options.memo_carry = args.get_bool("memo-carry", options.memo_carry);
   options.deep_batch = args.get_bool("deep-batch", options.deep_batch);
   options.guard.enabled = args.get_bool("fleet-guard", options.guard.enabled);
   options.guard.reduced_depth = static_cast<int>(
@@ -135,8 +106,7 @@ void apply_fleet_resilience_flags(const CliArgs& args, FleetOptions& options) {
 }
 
 std::vector<std::string> fleet_resilience_flag_names() {
-  std::vector<std::string> names = {"memo-carry", "deep-batch", "fleet-guard",
-                                    "fleet-reduced-depth",
+  std::vector<std::string> names = {"deep-batch", "fleet-guard", "fleet-reduced-depth",
                                     "fleet-promote-after", "fleet-livelock-window",
                                     "tick-budget-decisions", "tick-budget-ms"};
   for (std::string& name : chaos_flag_names()) names.push_back(std::move(name));
@@ -158,7 +128,6 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
       reduced_batch_(controller_model.num_states()) {
   RD_EXPECTS(options_.sessions >= 1, "FleetDriver: at least one session required");
   RD_EXPECTS(options_.tree_depth >= 1, "FleetDriver: tree depth must be >= 1");
-  RD_EXPECTS(options_.root_jobs >= 1, "FleetDriver: root_jobs must be >= 1");
   RD_EXPECTS(options_.guard.reduced_depth >= 1,
              "FleetDriver: guard reduced_depth must be >= 1");
   RD_EXPECTS(options_.guard.promote_after >= 1,
@@ -235,7 +204,7 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
 
 std::size_t FleetDriver::cache_lookup(const double* belief) const {
   const std::size_t num_states = model_.num_states();
-  const auto bucket = cache_buckets_.find(hash_belief_bits(belief, num_states));
+  const auto bucket = cache_buckets_.find(util::hash_belief_bits(belief, num_states));
   if (bucket == cache_buckets_.end()) return kNoEntry;
   for (const std::size_t entry : bucket->second) {
     if (std::memcmp(cache_keys_.data() + entry * num_states, belief,
@@ -252,7 +221,7 @@ void FleetDriver::cache_insert(const double* belief, const ActionValue* values) 
   if (entry >= cache_entry_cap_) return;  // cap hit: keep serving lookups
   cache_keys_.insert(cache_keys_.end(), belief, belief + num_states);
   cache_values_.insert(cache_values_.end(), values, values + model_.num_actions());
-  cache_buckets_[hash_belief_bits(belief, num_states)].push_back(entry);
+  cache_buckets_[util::hash_belief_bits(belief, num_states)].push_back(entry);
 }
 
 ObsId FleetDriver::deliver_observation(std::size_t slot, ObsId fresh) {
@@ -368,18 +337,10 @@ std::size_t FleetDriver::tick_quota(std::size_t solve_intents) {
 void FleetDriver::decide_phase() {
   ExpansionOptions expansion;
   expansion.branch_floor = options_.branch_floor;
-  expansion.root_jobs = options_.root_jobs;
-  expansion.memo = options_.memo;
   expansion.memo_max_bytes = options_.memo_max_mb << 20;
-  // Cross-tick carry-over: the fleet's bound set is frozen during ticks, so
-  // its generation is constant and carried entries stay valid tick to tick.
-  expansion.memo_carry = options_.memo_carry;
-  expansion.memo_context = set_.generation();
 
-  const std::size_t slots = ExpansionEngine::leaf_slots(expansion);
-  if (eval_scratch_.size() < slots) eval_scratch_.resize(slots);
-  for (std::size_t s = 0; s < slots; ++s) set_.begin_eval(eval_scratch_[s]);
-  const bounds::ScratchBoundLeaf leaf{&set_, eval_scratch_.data()};
+  set_.begin_eval(eval_scratch_);
+  const bounds::ScratchBoundLeaf leaf{&set_, &eval_scratch_};
   const SpanLeaf span_leaf = SpanLeaf::of_batched(leaf, set_.size() + 1);
 
   const bool has_terminate = model_.has_terminate_action();
@@ -609,7 +570,7 @@ void FleetDriver::decide_phase() {
     }
   }
 
-  for (std::size_t s = 0; s < slots; ++s) set_.flush_eval(eval_scratch_[s]);
+  set_.flush_eval(eval_scratch_);
 }
 
 void FleetDriver::act_phase() {
@@ -719,13 +680,14 @@ double FleetDriver::healthy_fraction() const {
 // ---- crash safety --------------------------------------------------------
 
 // Hash of every option that shapes the decision/draw sequence. Options that
-// only change *how fast* the same bits are produced — mode, root_jobs, memo,
-// the decision cache, tick_budget_ms, chaos stall_ms — are deliberately
-// excluded, so a checkpoint moves freely across those (the bitwise
-// invariance contracts are exactly what makes that sound).
+// only change *how fast* the same bits are produced — mode, deep_batch,
+// memo_max_mb, the decision cache, tick_budget_ms, chaos stall_ms — are
+// deliberately excluded, so a checkpoint moves freely across those (the
+// bitwise invariance contracts are exactly what makes that sound).
 std::uint64_t FleetDriver::options_hash() const {
   std::uint64_t h = 0x464c454554435250ULL;  // "FLEETCRP"
-  const auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
+  const auto mix = [&h](std::uint64_t v) { h = util::mix_in(h, v); };
+  using util::bits_of;
   mix(options_.sessions);
   mix(options_.observe_action);
   mix(static_cast<std::uint64_t>(options_.tree_depth));
@@ -838,7 +800,7 @@ void FleetDriver::adopt_checkpoint(const FleetCheckpoint& cp) {
     throw ModelError(
         "fleet checkpoint was saved under different fleet options (decision-"
         "relevant options hash mismatch) — depth, budgets, guard and chaos "
-        "settings must match the saving run (mode/jobs/simd/memo/cache and "
+        "settings must match the saving run (mode/jobs/simd/cache and "
         "--tick-budget-ms may differ freely)");
   }
   if (cp.bound_artifact_hash != options_.bound_artifact_hash) {

@@ -109,16 +109,7 @@ struct FleetOptions {
   // every lane of a tick — and both fleet modes — sees the same V_B⁻).
   int tree_depth = 1;
   double branch_floor = 0.0;
-  int root_jobs = 1;
-  bool memo = true;
   std::size_t memo_max_mb = 64;
-  /// Cross-tick carry-over of the expansion memo (`--memo-carry`): memoized
-  /// subtree values survive between ticks, invalidated exactly on a
-  /// bound-set generation bump. The fleet's set is frozen during ticks, so
-  /// in steady state carried entries serve most repeat beliefs. Hits are
-  /// bitwise-exact — a speed-only knob, excluded from options_hash() like
-  /// memo/mode/jobs, so checkpoints move freely across it.
-  bool memo_carry = false;
   double goal_certainty = 1.0 - 1e-9;
   double terminate_tie_epsilon = 1e-9;
   /// Decide/act steps after which an episode is cut off (truncated) and the
@@ -145,7 +136,7 @@ struct FleetOptions {
   /// — level-wise SoA successor expansion with global canonicalization and
   /// one frontier leaf batch — instead of one per-class tree walk at a
   /// time. Bitwise-exact (the deep values are identical bits), so this is a
-  /// speed-only knob excluded from options_hash() like mode/memo/jobs.
+  /// speed-only knob excluded from options_hash() like mode.
   bool deep_batch = true;
 
   /// Per-session fault isolation (DESIGN.md §14).
@@ -170,10 +161,9 @@ struct FleetOptions {
 };
 
 /// Applies the shared fleet-resilience flags onto `options` (defaults leave
-/// it untouched): --memo-carry, --deep-batch, --fleet-guard,
-/// --fleet-reduced-depth, --fleet-promote-after, --fleet-livelock-window,
-/// --tick-budget-decisions, --tick-budget-ms, plus the --chaos-* axes
-/// (parse_chaos_options).
+/// it untouched): --deep-batch, --fleet-guard, --fleet-reduced-depth,
+/// --fleet-promote-after, --fleet-livelock-window, --tick-budget-decisions,
+/// --tick-budget-ms, plus the --chaos-* axes (parse_chaos_options).
 void apply_fleet_resilience_flags(const CliArgs& args, FleetOptions& options);
 
 /// The flag keys above, for require_known() lists.
@@ -331,7 +321,7 @@ class FleetDriver {
   std::vector<ActionId> pending_action_;  // conditioning pair for update_phase
   std::vector<ObsId> pending_obs_;
   BatchUpdateWorkspace update_ws_;
-  std::vector<bounds::BoundSet::EvalScratch> eval_scratch_;
+  bounds::BoundSet::EvalScratch eval_scratch_;
 };
 
 }  // namespace recoverd::sim

@@ -1,12 +1,8 @@
 // Persistent, epoch-barriered work pool — the one thread team every
-// parallel site in the repo shares.
-//
-// Before PR 10 each parallel region (`expansion.cpp` root fan-out, the
-// RA-Bound CSR assembly, both SCC-solver sites, the experiment episode
-// runner) constructed a `std::vector<std::thread>` per call and joined it
-// before returning; the SCC solver even respawned its team once per
-// condensation level. `WorkPool` replaces all five sites with a single
-// process-wide team of persistent threads:
+// parallel site in the repo shares: the RA-Bound CSR assembly, both
+// SCC-solver sites and the experiment episode runner. No site spawns or
+// joins threads of its own; they all submit to a single process-wide team
+// of persistent threads:
 //
 //  - `run(tasks, fn)` executes `fn(t)` for every index `t in [0, tasks)`
 //    exactly once and returns only after all of them finished (an epoch
@@ -20,14 +16,14 @@
 //    index-addressed slots) and the *caller* performs every floating-point
 //    reduction in fixed index order after `run()` returns. The pool adds
 //    no reduction of its own, so the bitwise contracts (`--jobs`,
-//    `root_jobs`, `--solver-jobs` invariance) are untouched.
+//    `--solver-jobs` and `--pool-jobs` invariance) are untouched.
 //  - Threads are created lazily, kept for the lifetime of the process and
 //    capped by `configure_threads()` (the `--pool-jobs` flag). Running
 //    with fewer threads than tasks is always correct — the team just
 //    claims more indices each — so the cap is a resource knob, not a
 //    semantics knob.
 //  - Nested submission runs inline: a task that itself calls `run()`
-//    (e.g. an experiment episode whose controller fans out root actions)
+//    (e.g. a parallel solve started from inside an experiment episode)
 //    executes the nested indices serially on its own thread instead of
 //    deadlocking on the shared team. Serial execution of all indices is
 //    bit-identical by the worker-count invariance above.

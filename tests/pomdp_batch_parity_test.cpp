@@ -2,22 +2,28 @@
 // on randomized recovery POMDPs, update_batch() and action_values_batch() /
 // decide_batch() must reproduce the single-belief walk BIT FOR BIT — same
 // posterior bits, same values, same chosen actions — for every batch
-// composition (sizes 1/7/64 with duplicated lanes), SIMD mode, memo
-// setting, and root_jobs fan-out. Batched lanes whose beliefs coincide are
-// solved once (canonicalization), so the suite also pins the
-// BatchExpansionStats accounting: classes + shared_hits == sessions.
+// composition (sizes 1/7/64 with duplicated lanes) and SIMD mode, on one
+// engine or on concurrent ones, and match the memo-free recursive
+// reference (tests/reference_bellman.hpp).
+// Batched lanes whose beliefs coincide are solved once (canonicalization),
+// so the suite also pins the BatchExpansionStats accounting: classes +
+// shared_hits == sessions.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
 #include "pomdp/belief.hpp"
 #include "pomdp/belief_batch.hpp"
 #include "pomdp/expansion.hpp"
+#include "reference_bellman.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 
@@ -145,11 +151,9 @@ BeliefBatch make_batch(const BatchCase& c, std::size_t lanes, std::uint64_t salt
   return batch;
 }
 
-ExpansionOptions base_options(const BatchCase& c, bool memo = true, int root_jobs = 1) {
+ExpansionOptions base_options(const BatchCase& c) {
   ExpansionOptions opts;
   opts.branch_floor = c.floor;
-  opts.memo = memo;
-  opts.root_jobs = root_jobs;
   return opts;
 }
 
@@ -262,30 +266,75 @@ TEST_P(BatchParityTest, DecideBatchMatchesBestActionBitwise) {
   }
 }
 
+// The memo is always on, so its exactness is checked against the
+// memo-free recursive reference lane by lane, and against a walk whose
+// cache admits nothing (every insertion capped). Concurrent engines, one
+// per thread as under --jobs, must produce the same rows.
 TEST_P(BatchParityTest, BatchInvariantAcrossMemoAndRootJobs) {
   const BatchCase c = make_case(GetParam());
   ExpansionEngine engine(c.pomdp);
   const BeliefBatch batch = make_batch(c, 7, GetParam() ^ 0x1234);
+  const std::size_t num_states = c.pomdp.num_states();
+  const std::size_t num_actions = c.pomdp.num_actions();
 
-  std::vector<ActionValue> reference;
+  std::vector<ActionValue> batched;
   engine.action_values_batch(batch, c.depth, SpanLeaf::of(c.leaf), base_options(c),
-                             reference);
+                             batched);
+  ASSERT_EQ(batched.size(), batch.size() * num_actions);
 
-  std::vector<ActionValue> memo_off;
-  engine.action_values_batch(batch, c.depth, SpanLeaf::of(c.leaf),
-                             base_options(c, /*memo=*/false), memo_off);
+  ExpansionEngine uncached_engine(c.pomdp);  // fresh: no cache capacity yet
+  ExpansionOptions uncached = base_options(c);
+  uncached.memo_max_bytes = 1;
+  std::vector<ActionValue> memo_free;
+  uncached_engine.action_values_batch(batch, c.depth, SpanLeaf::of(c.leaf), uncached,
+                                      memo_free);
+  ASSERT_EQ(memo_free.size(), batched.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(memo_free[i].action, batched[i].action);
+    EXPECT_EQ(memo_free[i].value, batched[i].value) << "capped memo, entry " << i;
+  }
 
-  std::vector<ActionValue> fanout;
-  engine.action_values_batch(batch, c.depth, SpanLeaf::of(c.leaf),
-                             base_options(c, /*memo=*/true, /*root_jobs=*/3), fanout);
+  constexpr std::size_t kJobs = 3;
+  std::vector<std::vector<ActionValue>> threaded(kJobs);
+  std::vector<std::thread> workers;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    workers.emplace_back([&c, &batch, &threaded, j] {
+      ExpansionEngine local(c.pomdp);
+      local.action_values_batch(batch, c.depth, SpanLeaf::of(c.leaf), base_options(c),
+                                threaded[j]);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    ASSERT_EQ(threaded[j].size(), batched.size());
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_EQ(threaded[j][i].action, batched[i].action);
+      EXPECT_EQ(threaded[j][i].value, batched[i].value) << "job " << j << ", entry " << i;
+    }
+  }
 
-  ASSERT_EQ(memo_off.size(), reference.size());
-  ASSERT_EQ(fanout.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(memo_off[i].action, reference[i].action);
-    EXPECT_EQ(memo_off[i].value, reference[i].value) << "memo off, entry " << i;
-    EXPECT_EQ(fanout[i].action, reference[i].action);
-    EXPECT_EQ(fanout[i].value, reference[i].value) << "root_jobs=3, entry " << i;
+  const std::function<double(const Belief&)> leaf = [&c](const Belief& b) {
+    return c.leaf(b.probabilities());
+  };
+  std::vector<double> pi(num_states);
+  for (std::size_t lane = 0; lane < batch.size(); ++lane) {
+    batch.copy_lane(lane, pi);
+    // Every lane is a verbatim pool belief; the reference runs on that one.
+    const Belief* root = nullptr;
+    for (const Belief& candidate : c.pool) {
+      if (std::memcmp(candidate.probabilities().data(), pi.data(),
+                      num_states * sizeof(double)) == 0) {
+        root = &candidate;
+      }
+    }
+    ASSERT_NE(root, nullptr) << "lane " << lane;
+    const std::vector<ActionValue> reference = testref::ref_bellman_action_values(
+        c.pomdp, *root, c.depth, leaf, 1.0, kInvalidId, c.floor);
+    for (std::size_t a = 0; a < num_actions; ++a) {
+      EXPECT_EQ(batched[lane * num_actions + a].action, reference[a].action);
+      EXPECT_EQ(batched[lane * num_actions + a].value, reference[a].value)
+          << "seed=" << GetParam() << " lane=" << lane << " action=" << a;
+    }
   }
 }
 

@@ -2,8 +2,8 @@
 // on 120 randomized recovery POMDPs, action_values_batch_deep() /
 // decide_batch_deep() must reproduce the classic per-class walks — and the
 // sequential single-belief reference — BIT FOR BIT, for every batch
-// composition, depth 1..3, branch floor, work-pool thread cap, root_jobs
-// fan-out, and SIMD kernel tier the host supports. The suite also pins the
+// composition, depth 1..3, branch floor, work-pool thread cap, memo
+// admission, and SIMD kernel tier the host supports. The suite also pins the
 // frontier-canonicalization accounting: duplicated lanes and overlapping
 // subtrees must collapse into the same canonical node tables, and the
 // deep_node_budget fallback must return the identical bits through the
@@ -148,11 +148,9 @@ BeliefBatch make_batch(const DeepCase& c, std::size_t lanes, std::uint64_t salt)
   return batch;
 }
 
-ExpansionOptions base_options(const DeepCase& c, bool memo = true, int root_jobs = 1) {
+ExpansionOptions base_options(const DeepCase& c) {
   ExpansionOptions opts;
   opts.branch_floor = c.floor;
-  opts.memo = memo;
-  opts.root_jobs = root_jobs;
   return opts;
 }
 
@@ -242,9 +240,11 @@ TEST_P(DeepBatchParityTest, DecideDeepMatchesBestActionBitwise) {
   }
 }
 
-// The deep pipeline never touches the memo or the root fan-out, but the
-// classic fallback does — and callers flip these knobs freely. All
-// combinations, including every work-pool thread cap, must agree bitwise.
+// The deep pipeline never touches the memo, but its per-class fallback
+// walks the root actions one by one through it. The work-pool thread cap
+// is process-wide and callers set it freely. Every combination of cap,
+// memo admission (default, or every insertion capped) and path (deep, or
+// the fallback forced by a one-node budget) must agree bitwise.
 TEST_P(DeepBatchParityTest, DeepInvariantAcrossPoolCapsMemoAndRootJobs) {
   const DeepCase c = make_case(GetParam());
   ExpansionEngine engine(c.pomdp);
@@ -255,14 +255,18 @@ TEST_P(DeepBatchParityTest, DeepInvariantAcrossPoolCapsMemoAndRootJobs) {
   engine.action_values_batch_deep(batch, c.depth, SpanLeaf::of(c.leaf), base_options(c),
                                   reference);
 
+  const ExpansionOptions defaults = base_options(c);
   for (const std::size_t cap : {std::size_t{1}, std::size_t{3}}) {
     util::WorkPool::instance().configure_threads(cap);
-    for (const bool memo : {true, false}) {
-      for (const int root_jobs : {1, 3}) {
+    for (const std::size_t memo_bytes : {defaults.memo_max_bytes, std::size_t{1}}) {
+      for (const std::size_t budget : {defaults.deep_node_budget, std::size_t{1}}) {
+        ExpansionOptions opts = defaults;
+        opts.memo_max_bytes = memo_bytes;
+        opts.deep_node_budget = budget;
+        ExpansionEngine variant(c.pomdp);  // fresh: a cap binds from the start
         std::vector<ActionValue> got;
-        engine.action_values_batch_deep(batch, c.depth, SpanLeaf::of(c.leaf),
-                                        base_options(c, memo, root_jobs), got);
-        expect_rows_equal(got, reference, "pool/memo/jobs variant", GetParam());
+        variant.action_values_batch_deep(batch, c.depth, SpanLeaf::of(c.leaf), opts, got);
+        expect_rows_equal(got, reference, "pool/memo/path variant", GetParam());
       }
     }
   }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
@@ -190,34 +191,50 @@ TEST_P(ExpansionParityTest, EngineDirectSpanPathMatchesReferenceBitwise) {
   }
 }
 
+// The engine walks root actions serially; parallelism lives one level up,
+// one engine per thread (each episode under --jobs owns its controller's
+// engine). Three threads, each with its own engine over the shared model
+// and leaf, must reproduce one engine's serial walk bitwise — values and
+// tie-break.
 TEST_P(ExpansionParityTest, RootParallelFanOutMatchesSerialBitwise) {
   const ParityCase c = make_case(GetParam());
+  ExpansionOptions opts;
+  opts.beta = c.beta;
+  opts.skip_action = c.skip;
+  opts.branch_floor = c.floor;
+
   ExpansionEngine engine(c.pomdp);
-  ExpansionOptions serial;
-  serial.beta = c.beta;
-  serial.skip_action = c.skip;
-  serial.branch_floor = c.floor;
-  ExpansionOptions fanout = serial;
-  fanout.root_jobs = 3;
-
   std::vector<ActionValue> serial_values;
-  engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), serial,
+  engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), opts,
                        serial_values);
-  std::vector<ActionValue> parallel_values;
-  engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), fanout,
-                       parallel_values);
-  ASSERT_EQ(serial_values.size(), parallel_values.size());
-  for (std::size_t i = 0; i < serial_values.size(); ++i) {
-    EXPECT_EQ(serial_values[i].action, parallel_values[i].action);
-    EXPECT_EQ(serial_values[i].value, parallel_values[i].value) << "action " << i;
-  }
-
   const ActionValue serial_best =
-      engine.best_action(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), serial);
-  const ActionValue parallel_best =
-      engine.best_action(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), fanout);
-  EXPECT_EQ(serial_best.action, parallel_best.action);
-  EXPECT_EQ(serial_best.value, parallel_best.value);
+      engine.best_action(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), opts);
+
+  constexpr std::size_t kJobs = 3;
+  std::vector<std::vector<ActionValue>> parallel_values(kJobs);
+  std::vector<ActionValue> parallel_best(kJobs);
+  std::vector<std::thread> workers;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    workers.emplace_back([&c, &opts, &parallel_values, &parallel_best, j] {
+      ExpansionEngine local(c.pomdp);
+      local.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), opts,
+                          parallel_values[j]);
+      parallel_best[j] =
+          local.best_action(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), opts);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    ASSERT_EQ(serial_values.size(), parallel_values[j].size());
+    for (std::size_t i = 0; i < serial_values.size(); ++i) {
+      EXPECT_EQ(serial_values[i].action, parallel_values[j][i].action);
+      EXPECT_EQ(serial_values[i].value, parallel_values[j][i].value)
+          << "job " << j << " action " << i;
+    }
+    EXPECT_EQ(serial_best.action, parallel_best[j].action);
+    EXPECT_EQ(serial_best.value, parallel_best[j].value);
+  }
 }
 
 TEST_P(ExpansionParityTest, BestActionTieBreakMatchesWrapper) {

@@ -1,18 +1,21 @@
-// Exactness suite for memo *carry-over* (cross-decide/cross-episode cache
-// reuse, ExpansionOptions::memo_carry): on 120 randomized recovery POMDPs,
-// a sequence of expansions with the carried cache must reproduce the
-// per-call-cleared walk BIT FOR BIT — same values, same chosen actions —
-// across depths, masks, floors, root_jobs fan-outs, and across a
-// memo_context bump mid-sequence (the exact-invalidation contract: the
-// carried cache is discarded, values computed fresh, and the invalidation
-// tallied). The carry counters themselves are pinned on a colliding model.
+// Cross-decide exactness suite for the expansion engine's transposition
+// cache (DESIGN.md §11). An engine lives as long as its controller, and its
+// cache with it, but no entry outlives the root action that inserted it.
+// On 120 randomized recovery POMDPs a sequence of decides on one
+// long-lived engine must therefore reproduce a fresh engine per decide BIT
+// FOR BIT — same values, same chosen actions, same memo work — across
+// depths, masks and floors, when the leaf (the bound set) changes between
+// decides, and when the sequence runs on several threads at once. The
+// memo tallies of a repeated decide are pinned on a colliding model.
 #include "pomdp/expansion.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
@@ -109,8 +112,8 @@ struct SawLeaf {
   }
 };
 
-// One carry case: a model, a leaf, a *sequence* of root beliefs (the shape
-// of consecutive decides in one episode), and seed-derived knobs.
+// One case: a model, a leaf, a *sequence* of root beliefs (the shape of
+// consecutive decides in one episode), and seed-derived knobs.
 struct CarryCase {
   Pomdp pomdp;
   std::vector<Belief> roots;
@@ -139,42 +142,67 @@ CarryCase make_case(std::uint64_t seed) {
   return c;
 }
 
-ExpansionOptions carry_options(const CarryCase& c, bool carry,
-                               std::uint64_t context = 1) {
+// One decide's root-action values and the memo work that produced them.
+struct DecideRecord {
+  std::vector<ActionValue> values;
+  ExpansionNodeStats stats;
+};
+
+DecideRecord decide(const CarryCase& c, ExpansionEngine& engine, const Belief& root,
+                    const SawLeaf& leaf) {
+  DecideRecord record;
   ExpansionOptions opts;
   opts.beta = c.beta;
   opts.skip_action = c.skip;
   opts.branch_floor = c.floor;
-  opts.memo = true;
-  opts.memo_carry = carry;
-  opts.memo_context = context;
-  return opts;
+  opts.stats = &record.stats;
+  engine.action_values(root.probabilities(), c.depth, SpanLeaf::of(leaf), opts,
+                       record.values);
+  return record;
 }
 
-void run_sequence(const CarryCase& c, ExpansionEngine& engine,
-                  const ExpansionOptions& opts,
-                  std::vector<std::vector<ActionValue>>& out) {
-  out.clear();
+// The decide sequence on one long-lived engine.
+std::vector<DecideRecord> run_sequence(const CarryCase& c, ExpansionEngine& engine,
+                                       const SawLeaf& leaf) {
+  std::vector<DecideRecord> out;
+  for (const Belief& root : c.roots) out.push_back(decide(c, engine, root, leaf));
+  return out;
+}
+
+// The same sequence with a fresh engine per decide: nothing to carry.
+std::vector<DecideRecord> run_fresh(const CarryCase& c, const SawLeaf& leaf) {
+  std::vector<DecideRecord> out;
   for (const Belief& root : c.roots) {
-    std::vector<ActionValue> values;
-    engine.action_values(root.probabilities(), c.depth, SpanLeaf::of(c.leaf), opts,
-                         values);
-    out.push_back(std::move(values));
+    ExpansionEngine fresh(c.pomdp);
+    out.push_back(decide(c, fresh, root, leaf));
   }
+  return out;
 }
 
-void expect_sequences_equal(const std::vector<std::vector<ActionValue>>& a,
-                            const std::vector<std::vector<ActionValue>>& b,
-                            std::uint64_t seed, const char* label) {
+// Values bitwise, and the memo work tally by tally: an entry carried into
+// a later decide would show up as an extra hit and a missing miss.
+void expect_sequences_equal(const std::vector<DecideRecord>& a,
+                            const std::vector<DecideRecord>& b, std::uint64_t seed,
+                            const char* label) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t d = 0; d < a.size(); ++d) {
-    ASSERT_EQ(a[d].size(), b[d].size());
-    for (std::size_t i = 0; i < a[d].size(); ++i) {
-      EXPECT_EQ(a[d][i].action, b[d][i].action)
+    ASSERT_EQ(a[d].values.size(), b[d].values.size());
+    for (std::size_t i = 0; i < a[d].values.size(); ++i) {
+      EXPECT_EQ(a[d].values[i].action, b[d].values[i].action)
           << label << " seed=" << seed << " decide=" << d << " action=" << i;
-      EXPECT_EQ(a[d][i].value, b[d][i].value)
+      EXPECT_EQ(a[d].values[i].value, b[d].values[i].value)
           << label << " seed=" << seed << " decide=" << d << " action=" << i;
     }
+    EXPECT_EQ(a[d].stats.memo_hits, b[d].stats.memo_hits)
+        << label << " seed=" << seed << " decide=" << d;
+    EXPECT_EQ(a[d].stats.memo_misses, b[d].stats.memo_misses)
+        << label << " seed=" << seed << " decide=" << d;
+    EXPECT_EQ(a[d].stats.memo_insertions, b[d].stats.memo_insertions)
+        << label << " seed=" << seed << " decide=" << d;
+    EXPECT_EQ(a[d].stats.leaf_evaluations, b[d].stats.leaf_evaluations)
+        << label << " seed=" << seed << " decide=" << d;
+    EXPECT_EQ(a[d].stats.nodes, b[d].stats.nodes)
+        << label << " seed=" << seed << " decide=" << d;
   }
 }
 
@@ -182,57 +210,63 @@ class CarryParityTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CarryParityTest, DecideSequenceMatchesCarryOffBitwise) {
   const CarryCase c = make_case(GetParam());
-  ExpansionEngine off_engine(c.pomdp);
-  ExpansionEngine on_engine(c.pomdp);
-  std::vector<std::vector<ActionValue>> off;
-  std::vector<std::vector<ActionValue>> on;
-  run_sequence(c, off_engine, carry_options(c, false), off);
-  run_sequence(c, on_engine, carry_options(c, true), on);
-  expect_sequences_equal(off, on, GetParam(), "carry on/off");
+  ExpansionEngine long_lived(c.pomdp);
+  expect_sequences_equal(run_fresh(c, c.leaf), run_sequence(c, long_lived, c.leaf),
+                         GetParam(), "long-lived vs fresh");
 }
 
 TEST_P(CarryParityTest, RootJobsInvariantWithCarryOn) {
+  // Concurrent episodes each run their decide sequence on their own
+  // long-lived engine; three such sequences on three threads must match
+  // the serial one bitwise, memo work included.
   const CarryCase c = make_case(GetParam());
   ExpansionEngine serial_engine(c.pomdp);
-  ExpansionEngine fanout_engine(c.pomdp);
-  ExpansionOptions serial = carry_options(c, true);
-  ExpansionOptions fanout = serial;
-  fanout.root_jobs = 3;
-  std::vector<std::vector<ActionValue>> serial_out;
-  std::vector<std::vector<ActionValue>> fanout_out;
-  run_sequence(c, serial_engine, serial, serial_out);
-  run_sequence(c, fanout_engine, fanout, fanout_out);
-  expect_sequences_equal(serial_out, fanout_out, GetParam(), "root_jobs");
+  const std::vector<DecideRecord> serial = run_sequence(c, serial_engine, c.leaf);
+
+  constexpr std::size_t kJobs = 3;
+  std::vector<std::vector<DecideRecord>> parallel(kJobs);
+  std::vector<std::thread> workers;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    workers.emplace_back([&c, &parallel, j] {
+      ExpansionEngine local(c.pomdp);
+      parallel[j] = run_sequence(c, local, c.leaf);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    expect_sequences_equal(serial, parallel[j], GetParam(), "threaded");
+  }
 }
 
 TEST_P(CarryParityTest, ContextBumpInvalidatesExactly) {
-  // The controller contract: when the bound set mutates (generation bump),
-  // memo_context changes and the carried cache must be discarded — the next
-  // expansion computes fresh values identical to a never-carried engine, and
-  // tallies the invalidation.
+  // The controller contract: the bound set may mutate between decides (an
+  // Eq. 7 update adds a vector), while the cache is keyed by belief bits
+  // and depth only. A long-lived engine's next decides must equal a fresh
+  // engine's under the new leaf — no value computed under the old leaf
+  // survives.
   const CarryCase c = make_case(GetParam());
-  ExpansionEngine carried(c.pomdp);
-  std::vector<std::vector<ActionValue>> warmup;
-  run_sequence(c, carried, carry_options(c, true, /*context=*/1), warmup);
+  ExpansionEngine long_lived(c.pomdp);
+  const std::vector<DecideRecord> before = run_sequence(c, long_lived, c.leaf);
 
-  ExpansionNodeStats stats;
-  ExpansionOptions bumped = carry_options(c, true, /*context=*/2);
-  bumped.stats = &stats;
-  std::vector<ActionValue> after_bump;
-  carried.action_values(c.roots[0].probabilities(), c.depth, SpanLeaf::of(c.leaf),
-                        bumped, after_bump);
-  EXPECT_GE(stats.memo_carry_invalidations, 1u) << "seed=" << GetParam();
-  // No stale hit survived: a fresh engine that never carried agrees bitwise.
-  ExpansionEngine fresh(c.pomdp);
-  std::vector<ActionValue> reference;
-  fresh.action_values(c.roots[0].probabilities(), c.depth, SpanLeaf::of(c.leaf),
-                      carry_options(c, false), reference);
-  ASSERT_EQ(after_bump.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(after_bump[i].action, reference[i].action);
-    EXPECT_EQ(after_bump[i].value, reference[i].value)
-        << "seed=" << GetParam() << " action=" << i;
+  // A plane above every old one, so the leaf rises at every belief.
+  SawLeaf bumped = c.leaf;
+  std::vector<double> top(c.pomdp.num_states(), -std::numeric_limits<double>::infinity());
+  for (const auto& w : c.leaf.planes) {
+    for (std::size_t s = 0; s < top.size(); ++s) top[s] = std::max(top[s], w[s] + 1.0);
   }
+  bumped.planes.push_back(std::move(top));
+
+  const std::vector<DecideRecord> after = run_sequence(c, long_lived, bumped);
+  expect_sequences_equal(run_fresh(c, bumped), after, GetParam(), "after bump");
+
+  // The bump is visible, so a stale value could not have passed unnoticed.
+  bool moved = false;
+  for (std::size_t d = 0; d < before.size(); ++d) {
+    for (std::size_t i = 0; i < before[d].values.size(); ++i) {
+      if (before[d].values[i].value != after[d].values[i].value) moved = true;
+    }
+  }
+  EXPECT_TRUE(moved) << "seed=" << GetParam();
 }
 
 // 120 seeds x the tests above, with the decide sequence, depth, beta, mask
@@ -241,7 +275,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CarryParityTest,
                          ::testing::Range<std::uint64_t>(1, 121));
 
 // A model engineered to collide (uniform state-independent observations):
-// repeated decides over the same belief make carried entries unmissable.
+// every observation branch of a node yields the same posterior, so a
+// decide hits its own entries many times over.
 Pomdp make_colliding_pomdp() {
   constexpr std::size_t kStates = 4;
   constexpr std::size_t kObs = 3;
@@ -280,73 +315,40 @@ struct QuadraticLeaf {
   }
 };
 
-TEST(CarryMetricsTest, RepeatDecideHitsCarriedEntriesAndTalliesThem) {
-  const Pomdp p = make_colliding_pomdp();
-  ExpansionEngine engine(p);
-  const QuadraticLeaf leaf;
-  const Belief pi = Belief::uniform(p.num_states());
-
-  obs::Counter& carry_hits = obs::metrics().counter("expansion.memo.carry_hits");
-  const std::uint64_t global_before = carry_hits.value();
-
-  ExpansionOptions opts;
-  opts.memo = true;
-  opts.memo_carry = true;
-  opts.memo_context = 1;
-  ExpansionNodeStats stats;
-  opts.stats = &stats;
-
-  const double first = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
-  EXPECT_EQ(stats.memo_carry_hits, 0u);  // nothing carried yet on a fresh engine
-
-  const double second = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
-  EXPECT_EQ(first, second);
-  // The second decide re-walks a tree whose subtrees were all inserted by
-  // the first one: its probes hit entries carried across the call.
-  EXPECT_GT(stats.memo_carry_hits, 0u);
-  EXPECT_GT(carry_hits.value(), global_before);
-}
-
-TEST(CarryMetricsTest, ContextChangeTalliesOneInvalidation) {
-  const Pomdp p = make_colliding_pomdp();
-  ExpansionEngine engine(p);
-  const QuadraticLeaf leaf;
-  const Belief pi = Belief::uniform(p.num_states());
-
-  obs::Counter& invalidations =
-      obs::metrics().counter("expansion.memo.carry_invalidations");
-  const std::uint64_t global_before = invalidations.value();
-
-  ExpansionOptions opts;
-  opts.memo = true;
-  opts.memo_carry = true;
-  opts.memo_context = 7;
-  (void)engine.value(pi.probabilities(), 2, SpanLeaf::of(leaf), opts);
-
-  ExpansionNodeStats stats;
-  opts.memo_context = 8;  // the bound set mutated
-  opts.stats = &stats;
-  (void)engine.value(pi.probabilities(), 2, SpanLeaf::of(leaf), opts);
-  EXPECT_GE(stats.memo_carry_invalidations, 1u);
-  EXPECT_GT(invalidations.value(), global_before);
-  EXPECT_EQ(stats.memo_carry_hits, 0u);  // nothing stale survived the bump
-}
-
 TEST(CarryMetricsTest, CarryOffNeverTouchesCarryCounters) {
+  // A repeated decide over the same belief re-derives every hit inside
+  // itself: its tallies, and the global pomdp.memo.* deltas, equal the
+  // first decide's, and no cross-decide instrument is ever registered.
   const Pomdp p = make_colliding_pomdp();
   ExpansionEngine engine(p);
   const QuadraticLeaf leaf;
   const Belief pi = Belief::uniform(p.num_states());
+  obs::Counter& hits = obs::metrics().counter("pomdp.memo.hits");
 
+  ExpansionNodeStats first_stats;
   ExpansionOptions opts;
-  opts.memo = true;
-  ExpansionNodeStats stats;
-  opts.stats = &stats;
-  (void)engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
-  (void)engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
-  EXPECT_EQ(stats.memo_carry_hits, 0u);
-  EXPECT_EQ(stats.memo_carry_misses, 0u);
-  EXPECT_EQ(stats.memo_carry_invalidations, 0u);
+  opts.stats = &first_stats;
+  const std::uint64_t hits0 = hits.value();
+  const double first = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
+  const std::uint64_t first_hits = hits.value() - hits0;
+
+  ExpansionNodeStats second_stats;
+  opts.stats = &second_stats;
+  const std::uint64_t hits1 = hits.value();
+  const double second = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
+  const std::uint64_t second_hits = hits.value() - hits1;
+
+  EXPECT_EQ(first, second);
+  EXPECT_GT(first_stats.memo_hits, 0u);  // the model does collide
+  EXPECT_EQ(first_stats.memo_hits, second_stats.memo_hits);
+  EXPECT_EQ(first_stats.memo_misses, second_stats.memo_misses);
+  EXPECT_EQ(first_stats.memo_insertions, second_stats.memo_insertions);
+  EXPECT_EQ(first_hits, second_hits);
+
+  for (const obs::CounterSample& counter : obs::metrics().snapshot().counters) {
+    EXPECT_EQ(counter.name.find("expansion.memo.carry"), std::string::npos)
+        << counter.name;
+  }
 }
 
 }  // namespace

@@ -1,22 +1,26 @@
 // Exactness suite for the within-decision transposition cache (DESIGN.md
-// §11): on randomized recovery POMDPs, every engine entry point with the
-// memo enabled must reproduce the memo-off walk BIT FOR BIT — same values,
-// same chosen actions, same tie-breaks — across depths 1..3, action masks,
-// branch floors and root_jobs fan-outs. The suite also pins the cache's
-// observable behaviour: hit/miss/insertion tallies on a model built to
-// collide, the size cap, and the leaf cost-hint gate.
+// §11): on randomized recovery POMDPs, every engine entry point — which
+// always memoizes — must reproduce the memo-free recursive reference
+// (tests/reference_bellman.hpp) BIT FOR BIT: same values, same chosen
+// actions, same tie-breaks, across depths 1..3, action masks and branch
+// floors. The suite also pins the cache's observable behaviour: hit/miss/
+// insertion tallies on a model built to collide, the size cap, and the
+// leaf cost-hint gate.
 #include "pomdp/expansion.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
 #include "obs/metrics.hpp"
 #include "pomdp/belief.hpp"
+#include "reference_bellman.hpp"
 #include "util/rng.hpp"
 
 namespace recoverd {
@@ -132,13 +136,23 @@ MemoCase make_case(std::uint64_t seed) {
   return c;
 }
 
-ExpansionOptions base_options(const MemoCase& c, bool memo) {
+ExpansionOptions base_options(const MemoCase& c) {
   ExpansionOptions opts;
   opts.beta = c.beta;
   opts.skip_action = c.skip;
   opts.branch_floor = c.floor;
-  opts.memo = memo;
   return opts;
+}
+
+// The memo-free side of every comparison is the frozen recursive reference
+// (tests/reference_bellman.hpp), run on the same leaf.
+std::function<double(const Belief&)> reference_leaf(const MemoCase& c) {
+  return [&c](const Belief& b) { return c.leaf(b.probabilities()); };
+}
+
+double memo_off_value(const MemoCase& c) {
+  return testref::ref_bellman_value(c.pomdp, c.belief, c.depth, reference_leaf(c), c.beta,
+                                    c.skip, c.floor);
 }
 
 class MemoParityTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -146,23 +160,20 @@ class MemoParityTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MemoParityTest, ValueMatchesMemoOffBitwise) {
   const MemoCase c = make_case(GetParam());
   ExpansionEngine engine(c.pomdp);
-  const double off = engine.value(c.belief.probabilities(), c.depth,
-                                  SpanLeaf::of(c.leaf), base_options(c, false));
   const double on = engine.value(c.belief.probabilities(), c.depth,
-                                 SpanLeaf::of(c.leaf), base_options(c, true));
-  EXPECT_EQ(off, on) << "seed=" << GetParam() << " depth=" << c.depth
-                     << " floor=" << c.floor << " beta=" << c.beta;
+                                 SpanLeaf::of(c.leaf), base_options(c));
+  EXPECT_EQ(memo_off_value(c), on) << "seed=" << GetParam() << " depth=" << c.depth
+                                   << " floor=" << c.floor << " beta=" << c.beta;
 }
 
 TEST_P(MemoParityTest, ActionValuesAndBestActionMatchMemoOffBitwise) {
   const MemoCase c = make_case(GetParam());
   ExpansionEngine engine(c.pomdp);
-  std::vector<ActionValue> off;
+  const std::vector<ActionValue> off = testref::ref_bellman_action_values(
+      c.pomdp, c.belief, c.depth, reference_leaf(c), c.beta, c.skip, c.floor);
   std::vector<ActionValue> on;
   engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf),
-                       base_options(c, false), off);
-  engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf),
-                       base_options(c, true), on);
+                       base_options(c), on);
   ASSERT_EQ(off.size(), on.size());
   for (std::size_t i = 0; i < off.size(); ++i) {
     EXPECT_EQ(off[i].action, on[i].action);
@@ -170,44 +181,72 @@ TEST_P(MemoParityTest, ActionValuesAndBestActionMatchMemoOffBitwise) {
         << "seed=" << GetParam() << " action=" << i << " depth=" << c.depth;
   }
 
-  const ActionValue best_off = engine.best_action(c.belief.probabilities(), c.depth,
-                                                  SpanLeaf::of(c.leaf), base_options(c, false));
+  // Lowest ActionId wins ties among the unmasked actions.
+  ActionValue best_off{kInvalidId, -std::numeric_limits<double>::infinity()};
+  for (const ActionValue& av : off) {
+    if (av.action == c.skip) continue;
+    if (best_off.action == kInvalidId || av.value > best_off.value) best_off = av;
+  }
   const ActionValue best_on = engine.best_action(c.belief.probabilities(), c.depth,
-                                                 SpanLeaf::of(c.leaf), base_options(c, true));
+                                                 SpanLeaf::of(c.leaf), base_options(c));
   EXPECT_EQ(best_off.action, best_on.action);
   EXPECT_EQ(best_off.value, best_on.value);
 }
 
+// Concurrent decides each own an engine, and with it a transposition
+// cache. Three engines on three threads over the shared model and leaf
+// must give the serial memoized values bitwise, and each expansion's memo
+// tallies must equal the serial engine's: no thread shares another's
+// entries or skews its hit counts.
 TEST_P(MemoParityTest, RootJobsInvariantWithMemoOn) {
   const MemoCase c = make_case(GetParam());
   ExpansionEngine engine(c.pomdp);
-  ExpansionOptions serial = base_options(c, true);
-  ExpansionOptions fanout = serial;
-  fanout.root_jobs = 3;
-
+  ExpansionNodeStats serial_stats;
+  ExpansionOptions serial = base_options(c);
+  serial.stats = &serial_stats;
   std::vector<ActionValue> serial_values;
-  std::vector<ActionValue> parallel_values;
   engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), serial,
                        serial_values);
-  engine.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), fanout,
-                       parallel_values);
-  ASSERT_EQ(serial_values.size(), parallel_values.size());
-  for (std::size_t i = 0; i < serial_values.size(); ++i) {
-    EXPECT_EQ(serial_values[i].action, parallel_values[i].action);
-    EXPECT_EQ(serial_values[i].value, parallel_values[i].value) << "action " << i;
+
+  constexpr std::size_t kJobs = 3;
+  std::vector<std::vector<ActionValue>> parallel_values(kJobs);
+  std::vector<ExpansionNodeStats> parallel_stats(kJobs);
+  std::vector<std::thread> workers;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    workers.emplace_back([&c, &parallel_values, &parallel_stats, j] {
+      ExpansionEngine local(c.pomdp);
+      ExpansionOptions opts = base_options(c);
+      opts.stats = &parallel_stats[j];
+      local.action_values(c.belief.probabilities(), c.depth, SpanLeaf::of(c.leaf), opts,
+                          parallel_values[j]);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    ASSERT_EQ(serial_values.size(), parallel_values[j].size());
+    for (std::size_t i = 0; i < serial_values.size(); ++i) {
+      EXPECT_EQ(serial_values[i].action, parallel_values[j][i].action);
+      EXPECT_EQ(serial_values[i].value, parallel_values[j][i].value)
+          << "seed=" << GetParam() << " job " << j << " action " << i;
+    }
+    EXPECT_EQ(parallel_stats[j].memo_hits, serial_stats.memo_hits) << "job " << j;
+    EXPECT_EQ(parallel_stats[j].memo_misses, serial_stats.memo_misses) << "job " << j;
+    EXPECT_EQ(parallel_stats[j].memo_insertions, serial_stats.memo_insertions)
+        << "job " << j;
+    EXPECT_EQ(parallel_stats[j].leaf_evaluations, serial_stats.leaf_evaluations)
+        << "job " << j;
   }
 }
 
 TEST_P(MemoParityTest, TinySizeCapStillExactBitwise) {
   const MemoCase c = make_case(GetParam());
   ExpansionEngine engine(c.pomdp);
-  ExpansionOptions capped = base_options(c, true);
+  ExpansionOptions capped = base_options(c);
   capped.memo_max_bytes = 1;  // forces every insertion onto the capped path
-  const double off = engine.value(c.belief.probabilities(), c.depth,
-                                  SpanLeaf::of(c.leaf), base_options(c, false));
   const double got = engine.value(c.belief.probabilities(), c.depth,
                                   SpanLeaf::of(c.leaf), capped);
-  EXPECT_EQ(off, got) << "seed=" << GetParam();
+  EXPECT_EQ(memo_off_value(c), got) << "seed=" << GetParam();
 }
 
 // 120 seeds x the 4 tests above, with depth / beta / mask / floor all
@@ -271,9 +310,7 @@ TEST(MemoMetricsTest, CollidingModelRecordsHitsMissesInsertions) {
   const std::uint64_t misses0 = misses.value();
   const std::uint64_t insertions0 = insertions.value();
 
-  ExpansionOptions opts;
-  opts.memo = true;
-  const double v = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), opts);
+  const double v = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), {});
   EXPECT_TRUE(std::isfinite(v));
 
   const std::uint64_t hit_delta = hits.value() - hits0;
@@ -291,15 +328,11 @@ TEST(MemoMetricsTest, CollidingModelRecordsHitsMissesInsertions) {
   // level down: at least 12 in total on this fixed model.
   EXPECT_GE(hit_delta, 12u);
 
-  // Memo-off runs the same tree without touching the cache tallies.
-  const std::uint64_t hits_after = hits.value();
-  const std::uint64_t misses_after = misses.value();
-  ExpansionOptions off = opts;
-  off.memo = false;
-  const double v_off = engine.value(pi.probabilities(), 3, SpanLeaf::of(leaf), off);
-  EXPECT_EQ(v, v_off);
-  EXPECT_EQ(hits.value(), hits_after);
-  EXPECT_EQ(misses.value(), misses_after);
+  // Every hit still returns exactly the memo-free reference value.
+  const std::function<double(const Belief&)> ref_leaf = [&leaf](const Belief& b) {
+    return leaf(b.probabilities());
+  };
+  EXPECT_EQ(v, testref::ref_bellman_value(p, pi, 3, ref_leaf));
 }
 
 TEST(MemoMetricsTest, TinyCapRecordsCappedInsertions) {
@@ -311,7 +344,6 @@ TEST(MemoMetricsTest, TinyCapRecordsCappedInsertions) {
   obs::Counter& capped = obs::metrics().counter("pomdp.memo.capped");
   const std::uint64_t capped0 = capped.value();
   ExpansionOptions opts;
-  opts.memo = true;
   opts.memo_max_bytes = 1;
   (void)engine.value(pi.probabilities(), 2, SpanLeaf::of(leaf), opts);
   EXPECT_GT(capped.value(), capped0);
@@ -322,16 +354,14 @@ TEST(MemoMetricsTest, CheapLeafCostHintSkipsDepthZeroCaching) {
   const QuadraticLeaf leaf;
   const Belief pi = Belief::uniform(p.num_states());
 
-  const SpanLeaf::Fn call = [](const void* ctx, std::span<const double> span_pi,
-                               std::size_t) {
+  const SpanLeaf::Fn call = [](const void* ctx, std::span<const double> span_pi) {
     return (*static_cast<const QuadraticLeaf*>(ctx))(span_pi);
   };
   const SpanLeaf cheap_leaf(call, &leaf, nullptr, /*cost_hint=*/1);
   const SpanLeaf costly_leaf(call, &leaf, nullptr, /*cost_hint=*/16);
 
   obs::Counter& insertions = obs::metrics().counter("pomdp.memo.insertions");
-  ExpansionOptions opts;
-  opts.memo = true;
+  const ExpansionOptions opts;
 
   // Depth 1: every child is a leaf. A cheap evaluator (cost hint at or
   // below the cache's own probe+insert cost) must bypass the cache

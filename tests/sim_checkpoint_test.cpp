@@ -16,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "bounds/artifact.hpp"
 #include "bounds/ra_bound.hpp"
 #include "controller/bootstrap.hpp"
 #include "models/emn.hpp"
 #include "pomdp/belief.hpp"
 #include "sim/fleet_driver.hpp"
 #include "util/check.hpp"
+#include "util/crc64.hpp"
 
 namespace recoverd::sim {
 namespace {
@@ -264,6 +266,20 @@ TEST(CheckpointTest, HashPomdpSeparatesModels) {
   EXPECT_EQ(hash_pomdp(emn().recovery), hash_pomdp(emn().recovery));
 }
 
+// The three content hashes written into bound artifacts and checkpoints are
+// part of those file formats: a file saved by one build must still match
+// the model and options of the next. Pinned on EMN to their recorded values.
+TEST(CheckpointTest, PersistedHashesArePinnedOnEmn) {
+  EXPECT_EQ(bounds::hash_mdp(emn().recovery.mdp()), 0xe10f118ef7eaeb7fULL);
+  EXPECT_EQ(hash_pomdp(emn().recovery), 0x0b8be711dbd9c042ULL);
+  EXPECT_EQ(make_fleet(make_options(8, FleetMode::Batch)).capture_checkpoint().options_hash,
+            0x1f069ea3f58b3fa1ULL);
+  EXPECT_EQ(make_fleet(make_resilient_options(8, FleetMode::Batch))
+                .capture_checkpoint()
+                .options_hash,
+            0x851fc23204faa006ULL);
+}
+
 // ---- corruption matrix --------------------------------------------------
 
 struct CheckpointFile {
@@ -403,6 +419,37 @@ TEST(CheckpointCorruptionTest, ChangedOptionsAreRejectedByHash) {
   const std::string message =
       model_error_of([&] { fleet.restore_checkpoint(file.path); });
   EXPECT_NE(message.find("different fleet options"), std::string::npos) << message;
+}
+
+// Overwrites the u64 at `offset` and re-seals the CRC-64 (over bytes
+// [8, size - 8), stored in the last 8), so the reader gets past the
+// checksum and must catch the implausible field itself.
+std::vector<unsigned char> resealed_with(std::vector<unsigned char> bytes,
+                                         std::size_t offset, std::uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  const std::uint64_t crc = util::crc64(bytes.data() + 8, bytes.size() - 16);
+  std::memcpy(bytes.data() + bytes.size() - 8, &crc, sizeof(crc));
+  return bytes;
+}
+
+TEST(CheckpointCorruptionTest, ImplausibleSessionCountIsRejectedBeforeAllocating) {
+  CheckpointFile file("fleet_sessions.ckpt");
+  constexpr std::size_t kSessionsOffset = 60;  // header 20 + five u64 fields
+  for (const std::uint64_t sessions : {std::uint64_t{1} << 40, std::uint64_t{1} << 59}) {
+    write_file(file.path, resealed_with(file.bytes, kSessionsOffset, sessions));
+    const std::string message = model_error_of([&] { read_fleet_checkpoint(file.path); });
+    EXPECT_NE(message.find("implausible session count"), std::string::npos)
+        << "sessions=" << sessions << ": " << message;
+  }
+}
+
+TEST(CheckpointCorruptionTest, ImplausibleStateCountIsRejectedBeforeAllocating) {
+  CheckpointFile file("fleet_states.ckpt");
+  constexpr std::size_t kNumStatesOffset = 68;
+  // 8 sessions × 2^60 states × 8 bytes wraps the byte count to 0.
+  write_file(file.path, resealed_with(file.bytes, kNumStatesOffset, std::uint64_t{1} << 60));
+  const std::string message = model_error_of([&] { read_fleet_checkpoint(file.path); });
+  EXPECT_NE(message.find("implausible belief state count"), std::string::npos) << message;
 }
 
 TEST(CheckpointCorruptionTest, RejectionLeavesDriverStateUntouched) {

@@ -15,6 +15,7 @@
 #include "bounds/ra_bound.hpp"
 #include "controller/bootstrap.hpp"
 #include "models/emn.hpp"
+#include "obs/metrics.hpp"
 #include "pomdp/belief.hpp"
 #include "util/check.hpp"
 #include "util/simd.hpp"
@@ -139,20 +140,30 @@ TEST(FleetParityTest, CrossTickDecisionCacheIsExact) {
 }
 
 TEST(FleetParityTest, MemoCarryOverIsExact) {
-  // --memo-carry keeps each decide's transposition cache alive across
-  // decides and episodes (the bound set is frozen during ticks, so carried
-  // entries stay valid). Hits are bitwise-exact, so the whole fleet must
-  // stay bit-identical to a carry-off twin, tick by tick.
-  FleetOptions plain = make_options(24, FleetMode::Batch);
-  FleetOptions carrying = plain;
-  carrying.memo_carry = true;
-  FleetDriver without = make_fleet(plain);
-  FleetDriver with = make_fleet(carrying);
+  // The fleet's engine outlives every decide and episode, but its
+  // transposition cache carries no entry from one root action to the
+  // next. A fleet walking per-class depth-2 trees through the default
+  // cache must stay bit-identical, tick by tick, to a twin whose cache
+  // admits nothing.
+  FleetOptions cached = make_options(24, FleetMode::Batch);
+  cached.tree_depth = 2;
+  cached.deep_batch = false;
+  FleetOptions uncached = cached;
+  uncached.memo_max_mb = 0;
+  FleetDriver with = make_fleet(cached);
+  FleetDriver without = make_fleet(uncached);
+  obs::Counter& insertions = obs::metrics().counter("pomdp.memo.insertions");
+  std::uint64_t cached_insertions = 0;
   for (std::size_t tick = 1; tick <= 6; ++tick) {
-    without.tick();
+    const std::uint64_t before_with = insertions.value();
     with.tick();
-    expect_fleets_bitwise_equal(without, with, tick);
+    cached_insertions += insertions.value() - before_with;
+    const std::uint64_t before_without = insertions.value();
+    without.tick();
+    EXPECT_EQ(insertions.value(), before_without) << "tick " << tick;
+    expect_fleets_bitwise_equal(with, without, tick);
   }
+  EXPECT_GT(cached_insertions, 0u);  // the cache did take entries
 }
 
 TEST(FleetParityTest, ScalarMatchesAutoKernelsBitwise) {

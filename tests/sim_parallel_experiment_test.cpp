@@ -17,6 +17,7 @@
 #include "controller/heuristic_controller.hpp"
 #include "controller/most_likely_controller.hpp"
 #include "models/two_server.hpp"
+#include "obs/metrics.hpp"
 
 namespace recoverd::sim {
 namespace {
@@ -152,22 +153,32 @@ TEST_F(ParallelExperimentFixture, ParallelHeuristicDepth2UsesEngineUnderThreads)
 }
 
 TEST_F(ParallelExperimentFixture, ParallelRootFanOutInsideOneController) {
-  // root_jobs > 1 inside a single decide() must not change decisions:
-  // campaign aggregates with a fan-out controller equal the serial ones.
+  // Inside one decide() the root actions are walked serially through the
+  // engine's transposition cache. A depth-2 bounded controller whose cache
+  // admits nothing must decide exactly like the default one, under any
+  // worker count: campaign aggregates equal bitwise.
   const Pomdp transformed = models::make_two_server_without_notification(21600.0);
   const bounds::BoundSet set = bounds::make_ra_bound_set(transformed.mdp());
-  controller::BoundedControllerOptions serial_opts;
-  controller::BoundedControllerOptions fanout_opts;
-  fanout_opts.root_jobs = 3;
-  const ControllerFactory serial_factory = [&transformed, set, serial_opts] {
-    return controller::BoundedController::make_owning(transformed, set, serial_opts);
+  controller::BoundedControllerOptions cached_opts;
+  cached_opts.tree_depth = 2;
+  controller::BoundedControllerOptions uncached_opts = cached_opts;
+  uncached_opts.memo_max_mb = 0;
+  const ControllerFactory cached_factory = [&transformed, set, cached_opts] {
+    return controller::BoundedController::make_owning(transformed, set, cached_opts);
   };
-  const ControllerFactory fanout_factory = [&transformed, set, fanout_opts] {
-    return controller::BoundedController::make_owning(transformed, set, fanout_opts);
+  const ControllerFactory uncached_factory = [&transformed, set, uncached_opts] {
+    return controller::BoundedController::make_owning(transformed, set, uncached_opts);
   };
-  const auto serial = run_experiment(base_, serial_factory, injector_, 60, 13, config_, 1);
-  const auto fanout = run_experiment(base_, fanout_factory, injector_, 60, 13, config_, 2);
-  expect_identical(serial, fanout);
+  obs::Counter& insertions = obs::metrics().counter("pomdp.memo.insertions");
+  const std::uint64_t before_uncached = insertions.value();
+  const auto uncached =
+      run_experiment(base_, uncached_factory, injector_, 60, 13, config_, 1);
+  const std::uint64_t before_cached = insertions.value();
+  const auto cached = run_experiment(base_, cached_factory, injector_, 60, 13, config_, 2);
+  expect_identical(uncached, cached);
+  // The two runs really took different paths through the cache.
+  EXPECT_EQ(before_cached, before_uncached);
+  EXPECT_GT(insertions.value(), before_cached);
 }
 
 }  // namespace

@@ -50,14 +50,10 @@ class TraceParityFixture : public ::testing::Test {
     obs::close_provenance();
   }
 
-  ControllerFactory bounded_factory(int root_jobs = 1) const {
-    controller::BoundedControllerOptions opts;
-    opts.root_jobs = root_jobs;
+  ControllerFactory bounded_factory() const {
     const Pomdp& model = recovery_;
     const bounds::BoundSet& set = set_;
-    return [&model, set, opts] {
-      return controller::BoundedController::make_owning(model, set, opts);
-    };
+    return [&model, set] { return controller::BoundedController::make_owning(model, set); };
   }
 
   Pomdp base_;
@@ -152,14 +148,14 @@ TEST_F(TraceParityFixture, TraceParityHoldsAcrossWorkerCountsAndRootJobs) {
   obs::enable_tracing(obs::TraceLevel::Full);
   const auto reference =
       run_experiment(base_, bounded_factory(), injector_, 40, 23, config_, 1);
-  const auto threaded =
+  const auto two =
+      run_experiment(base_, bounded_factory(), injector_, 40, 23, config_, 2);
+  const auto four =
       run_experiment(base_, bounded_factory(), injector_, 40, 23, config_, 4);
-  const auto fanout =
-      run_experiment(base_, bounded_factory(3), injector_, 40, 23, config_, 2);
   obs::disable_tracing();
   obs::reset_tracing();
-  expect_identical(reference, threaded);
-  expect_identical(reference, fanout);
+  expect_identical(reference, two);
+  expect_identical(reference, four);
 }
 
 TEST_F(TraceParityFixture, TraceParityProvenanceEchoesBoundedDecisions) {

@@ -4,14 +4,15 @@
 #   2. sanitize: RelWithDebInfo + ASan/UBSan build + full ctest run;
 #   3. tsan: ThreadSanitizer build + the concurrency tests (names matching
 #      "Parallel|Scc|Memo|Trace|Batch|Simd|Fleet|Checkpoint|Artifact|Carry|
-#      Pool|DeepBatch": the parallel experiment runner, the engine's root
-#      fan-out — including the per-worker transposition caches of DESIGN.md
-#      §11 and their cross-decide carry-over of §15 — the topology-aware SCC
-#      solver's level/chunk threading, the batched decision engine + fleet
-#      driver of §13, the persistent work pool + deep-batch pipeline of §16,
-#      the bound-artifact round trip under threaded evaluation, and
-#      concurrent Eq. 7 backups on their thread-local workspaces, §17),
-#      which exercise every cross-thread code path in the repo.
+#      Pool|DeepBatch": the parallel experiment runner — whose episodes each
+#      run the serial, memoized expansion engine of DESIGN.md §8/§11, and
+#      the engine suites that run one engine per thread the same way — the
+#      topology-aware SCC solver's level/chunk threading, the batched
+#      decision engine + fleet driver of §13, the persistent work pool +
+#      deep-batch pipeline of §16, the bound-artifact round trip under
+#      threaded evaluation, and concurrent Eq. 7 backups on their
+#      thread-local workspaces, §17), which exercise every cross-thread code
+#      path in the repo.
 #
 #   4. robustness: ASan/UBSan run of the guard/mismatch/fleet-guard/
 #      checkpoint/bound-artifact test binaries (the checkpoint and artifact
@@ -37,10 +38,12 @@
 #      the --simd=scalar episode line-for-line; elsewhere the forced flag
 #      must fail fast with the actionable error instead of crashing.
 #
-#   8. eq7: Eq. 7 backup tier parity (DESIGN.md §17). fig5a, fig5b and
-#      ablation_bootstrap run under --simd=scalar, avx2 and auto (each tier
-#      the host supports) and their stdout must be byte-identical; so must
-#      Table 1's, with only the AlgTime column masked.
+#   8. eq7: paper outputs against golden files, and Eq. 7 backup tier
+#      parity (DESIGN.md §17). fig5a, fig5b and ablation_bootstrap run under
+#      --simd=scalar, avx2 and auto (each tier the host supports) and their
+#      stdout must be byte-identical; so must Table 1's, with only the
+#      AlgTime column masked. The scalar outputs must also equal
+#      tests/golden/, so a change that moves every tier alike fails too.
 #
 #   9. bench: builds perfbench/ into .bench_build and runs its bench_smoke
 #      test (every benchmark workload at tiny sizes, all checks).
@@ -176,7 +179,7 @@ if [[ "${SKIP_THROUGHPUT:-0}" != "1" ]]; then
 fi
 
 if [[ "${SKIP_EQ7:-0}" != "1" ]]; then
-  echo "== eq7: Eq. 7 backup tier parity (fig5a/5b, ablation_bootstrap, Table 1) =="
+  echo "== eq7: golden paper outputs + Eq. 7 tier parity (fig5a/5b, ablation_bootstrap, Table 1) =="
   cmake --build build -j "$JOBS" --target fig5a_bounds_improvement fig5b_bound_vectors \
     ablation_bootstrap table1_fault_injection
   tiers=(scalar)
@@ -201,6 +204,12 @@ if [[ "${SKIP_EQ7:-0}" != "1" ]]; then
     ./build/bench/table1_fault_injection --faults=200 --faults-d2=20 --faults-d3=5 \
       --simd="$tier" 2> /dev/null | mask_algtime > "/tmp/recoverd_eq7_table1_$tier.txt"
   done
+  # Recorded from the scalar tier; regenerate them only for a change that
+  # is meant to move the paper's numbers, and say so in CHANGES.md.
+  diff tests/golden/fig5a.txt /tmp/recoverd_eq7_fig5a_scalar.txt
+  diff tests/golden/fig5b.txt /tmp/recoverd_eq7_fig5b_scalar.txt
+  diff tests/golden/ablation_bootstrap.txt /tmp/recoverd_eq7_ablation_scalar.txt
+  diff tests/golden/table1.txt /tmp/recoverd_eq7_table1_scalar.txt
   for tier in "${tiers[@]:1}"; do
     for out in fig5a fig5b ablation table1; do
       diff "/tmp/recoverd_eq7_${out}_scalar.txt" "/tmp/recoverd_eq7_${out}_$tier.txt"
