@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "gbench_main.hpp"
@@ -14,10 +15,12 @@
 #include "bounds/ra_bound.hpp"
 #include "controller/bootstrap.hpp"
 #include "models/emn.hpp"
+#include "obs/metrics.hpp"
 #include "pomdp/belief_batch.hpp"
 #include "pomdp/bellman.hpp"
 #include "pomdp/expansion.hpp"
 #include "pomdp/sampling.hpp"
+#include "sim/fleet_driver.hpp"
 #include "util/rng.hpp"
 
 namespace recoverd::bench {
@@ -310,6 +313,85 @@ void BM_DeepBatch(benchmark::State& state) {
 BENCHMARK(BM_DeepBatch)
     ->ArgsProduct({{2, 3}, {256, 4096}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+
+// The deep pipeline's levels on a real fleet population: the beliefs of a
+// 5000-session EMN fleet (seed 2006, depth 2, floor 1e-2) after 20 warm-up
+// ticks, decided against the Table 1 bootstrap set (RA-Bound plane at
+// capacity 64, then 10 depth-2 bootstrap episodes, seed 2006, floor 1e-2)
+// — the set and fleet configuration of perfbench's fleet_emn_d2. One
+// iteration is one depth-2 action_values_batch_deep over the whole pool:
+// canonicalization, both expansion levels and the leaf batch, without a
+// fleet's respawns, cache probes and Bayes updates around them.
+struct DeepLevelFixture {
+  bounds::BoundSet set;
+  std::unique_ptr<BeliefBatch> pool;
+};
+
+const DeepLevelFixture& deep_level_fixture() {
+  static const DeepLevelFixture fixture = [] {
+    const Pomdp& p = emn_recovery();
+    bounds::BoundSet set = bounds::make_ra_bound_set(p.mdp(), 64);
+    controller::BootstrapOptions boot;
+    boot.iterations = 10;
+    boot.tree_depth = 2;
+    boot.observe_action = ids().topo.observe_action;
+    boot.seed = 2006;
+    boot.branch_floor = 1e-2;
+    controller::bootstrap_bounds(p, set, Belief::uniform(p.num_states()), boot);
+    static const Pomdp env = models::make_emn_base();
+    const sim::FaultInjector injector(models::emn_ids(env).topo.zombie_states);
+    sim::FleetOptions options;
+    options.sessions = 5000;
+    options.observe_action = ids().topo.observe_action;
+    options.tree_depth = 2;
+    options.branch_floor = 1e-2;
+    options.max_steps = 10000;
+    sim::FleetDriver fleet(p, env, set, injector, 2006, options);
+    for (int tick = 0; tick < 20; ++tick) fleet.tick();
+    const BeliefBatch& lanes = fleet.beliefs();
+    auto pool = std::make_unique<BeliefBatch>(p.num_states());
+    pool->reserve(lanes.size());
+    std::vector<double> row(p.num_states());
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      lanes.copy_lane(lane, row);
+      pool->push_back(row, lane);
+    }
+    return DeepLevelFixture{set, std::move(pool)};  // the fleet still refers to `set`
+  }();
+  return fixture;
+}
+
+void BM_DeepLevel(benchmark::State& state) {
+  const Pomdp& p = emn_recovery();
+  const DeepLevelFixture& fixture = deep_level_fixture();
+  bounds::BoundSet set = fixture.set;
+  bounds::BoundSet::EvalScratch scratch;
+  const bounds::ScratchBoundLeaf leaf{&set, &scratch};
+  ExpansionEngine engine(p);
+  ExpansionOptions opts;
+  opts.branch_floor = 1e-2;
+  obs::Counter& kept = obs::metrics().counter("pomdp.belief.branches_kept");
+  std::vector<ActionValue> values;
+  BatchExpansionStats stats;
+  std::uint64_t branches = 0;
+  for (auto _ : state) {
+    set.begin_eval(scratch);
+    const std::uint64_t kept_before = kept.value();
+    engine.action_values_batch_deep(*fixture.pool, 2,
+                                    SpanLeaf::of_batched(leaf, set.size() + 1), opts,
+                                    values, &stats);
+    branches = kept.value() - kept_before;
+    set.flush_eval(scratch);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["lanes"] = static_cast<double>(fixture.pool->size());
+  state.counters["classes"] = static_cast<double>(stats.classes);
+  state.counters["nodes"] = static_cast<double>(stats.frontier_nodes);
+  state.counters["branches"] = static_cast<double>(branches);
+  state.counters["leaves"] = static_cast<double>(stats.frontier_leaves);
+}
+BENCHMARK(BM_DeepLevel)->Unit(benchmark::kMillisecond);
 
 // The Eq. 6 leaf kernel in isolation, on synthetic hyperplane sets of
 // `planes` vectors over `states` dimensions. "Naive" is the pre-PR 5

@@ -21,7 +21,9 @@
 //
 // Callers dispatch on simd::active_mode() and must keep their scalar path
 // as the reference; tests/util_simd_test.cpp holds each pair equal bitwise
-// on random inputs.
+// on random inputs, and tests/pomdp_successor_parity_test.cpp holds the
+// successor kernels (gather_support8, likelihood_classify4/8) to the frozen
+// per-lane expansion on every tier.
 #pragma once
 
 #include <cstddef>
@@ -146,21 +148,89 @@ __attribute__((target("avx2"))) inline void argmax4(const double* const* planes,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(win), _mm256_castpd_si256(arg));
 }
 
-/// w[o] += row[o] · scale for o = 0..n-1 — the successor-expansion inner
-/// loop (one predicted-state term added into every observation likelihood at
-/// once). Each w[o] is an independent accumulator, so vectorizing across o
-/// keeps every sum in its scalar order.
-__attribute__((target("avx2"))) inline void accumulate_scaled(double* w, const double* row,
-                                                              double scale,
-                                                              std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(scale);
-  std::size_t o = 0;
-  for (; o + 4 <= n; o += 4) {
-    const __m256d cur = _mm256_loadu_pd(w + o);
-    const __m256d term = _mm256_mul_pd(_mm256_loadu_pd(row + o), vs);
-    _mm256_storeu_pd(w + o, _mm256_add_pd(cur, term));
+/// One vector of likelihood_classify4(): classifies the four likelihoods in
+/// `w` (observations o..o+3) and appends the kept ones.
+__attribute__((target("avx2"))) inline void classify4(__m256d w, std::size_t o,
+                                                      __m256d floor, std::size_t* kept_obs,
+                                                      double* kept_gamma, std::size_t& count,
+                                                      std::size_t& cut) {
+  const __m256d reach = _mm256_cmp_pd(w, _mm256_setzero_pd(), _CMP_NLE_UQ);
+  const auto r = static_cast<unsigned>(_mm256_movemask_pd(reach));
+  if (r == 0) return;
+  auto keep = static_cast<unsigned>(
+      _mm256_movemask_pd(_mm256_and_pd(reach, _mm256_cmp_pd(w, floor, _CMP_NLT_UQ))));
+  cut += static_cast<std::size_t>(__builtin_popcount(r & ~keep));
+  if (keep == 0) return;
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, w);
+  for (; keep != 0; keep &= keep - 1) {
+    const auto lane = static_cast<std::size_t>(__builtin_ctz(keep));
+    kept_obs[count] = o + lane;
+    kept_gamma[count] = lanes[lane];
+    ++count;
   }
-  for (; o < n; ++o) w[o] += row[o] * scale;
+}
+
+/// The successor kernel's dense likelihood pass and floor classification
+/// (DESIGN.md §16), four observations per vector. For every o < n:
+///
+///   γ(o) = 0 + Σ_{j<m} rows[j][o] · vals[j]   (ascending j, multiply then add)
+///
+/// where rows[j] is the dense q(·|s_j, a) row of the j-th support state and
+/// vals[j] = pred(s_j). Each γ(o) is one lane's accumulator, held in a
+/// register across the whole support, so every sum keeps the scalar order.
+/// Classification uses unordered predicates, so a NaN γ is kept exactly as
+/// the scalar `γ <= 0` / `γ < floor` tests keep it: o is reachable when
+/// !(γ <= 0), kept when also !(γ < floor), and pruned otherwise. Kept ids
+/// go to kept_obs (ascending) and their γ to kept_gamma; returns the kept
+/// count and adds the pruned count to `cut`.
+__attribute__((target("avx2"))) inline std::size_t likelihood_classify4(
+    const double* const* rows, const double* vals, std::size_t m, std::size_t n,
+    double floor, std::size_t* kept_obs, double* kept_gamma, std::size_t& cut) {
+  const __m256d fl = _mm256_set1_pd(floor);
+  std::size_t count = 0;
+  std::size_t pruned = 0;  // a local, so it can live in a register
+  std::size_t o = 0;
+  for (; o + 16 <= n; o += 16) {
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      const double* r = rows[j] + o;
+      const __m256d v = _mm256_set1_pd(vals[j]);
+      a0 = _mm256_add_pd(a0, _mm256_mul_pd(_mm256_loadu_pd(r), v));
+      a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(r + 4), v));
+      a2 = _mm256_add_pd(a2, _mm256_mul_pd(_mm256_loadu_pd(r + 8), v));
+      a3 = _mm256_add_pd(a3, _mm256_mul_pd(_mm256_loadu_pd(r + 12), v));
+    }
+    classify4(a0, o, fl, kept_obs, kept_gamma, count, pruned);
+    classify4(a1, o + 4, fl, kept_obs, kept_gamma, count, pruned);
+    classify4(a2, o + 8, fl, kept_obs, kept_gamma, count, pruned);
+    classify4(a3, o + 12, fl, kept_obs, kept_gamma, count, pruned);
+  }
+  for (; o + 4 <= n; o += 4) {
+    __m256d a = _mm256_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_loadu_pd(rows[j] + o),
+                                         _mm256_set1_pd(vals[j])));
+    }
+    classify4(a, o, fl, kept_obs, kept_gamma, count, pruned);
+  }
+  for (; o < n; ++o) {
+    double w = 0.0;
+    for (std::size_t j = 0; j < m; ++j) w += rows[j][o] * vals[j];
+    if (w <= 0.0) continue;
+    if (w < floor) {
+      ++pruned;
+      continue;
+    }
+    kept_obs[count] = o;
+    kept_gamma[count] = w;
+    ++count;
+  }
+  cut += pruned;
+  return count;
 }
 
 /// out[i] = a[i] · b[i] — elementwise, no reduction (posterior mass rows).
@@ -262,24 +332,104 @@ RECOVERD_AVX512_TARGET inline void argmax8(const double* const* planes, std::siz
   _mm512_storeu_si512(win, arg);
 }
 
-/// AVX-512 widening of accumulate_scaled(): w[o] += row[o] · scale, eight
-/// independent accumulators per step.
-RECOVERD_AVX512_TARGET inline void accumulate_scaled_avx512(double* w,
-                                                            const double* row,
-                                                            double scale,
-                                                            std::size_t n) {
-  RECOVERD_FP_NO_CONTRACT
-  const __m512d vs = _mm512_set1_pd(scale);
-  std::size_t o = 0;
-  for (; o + 8 <= n; o += 8) {
-    const __m512d cur = _mm512_loadu_pd(w + o);
-    const __m512d term = _mm512_mul_pd(_mm512_loadu_pd(row + o), vs);
-    _mm512_storeu_pd(w + o, _mm512_add_pd(cur, term));
+/// AVX-512 support gather of the successor kernel: appends, in ascending s,
+/// pred(s) and the address of q_rows's row s (n doubles each) for every
+/// state with pred(s) ≠ ±0 — an unordered compare, so NaN and ±inf stay in.
+/// Returns the count m. `rows` and `vals` need room for num_states + 8
+/// entries: each vector's compressed lanes are stored whole.
+RECOVERD_AVX512_TARGET inline std::size_t gather_support8(const double* pred,
+                                                          std::size_t num_states,
+                                                          const double* q_rows, std::size_t n,
+                                                          const double** rows, double* vals) {
+  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  const __m512i step = _mm512_set1_epi64(static_cast<long long>(n * sizeof(double)));
+  const __m512i base = _mm512_set1_epi64(reinterpret_cast<long long>(q_rows));
+  std::size_t m = 0;
+  for (std::size_t s = 0; s < num_states; s += 8) {
+    const __mmask8 live = num_states - s >= 8
+                              ? static_cast<__mmask8>(0xFF)
+                              : static_cast<__mmask8>((1u << (num_states - s)) - 1u);
+    const __m512d p = _mm512_maskz_loadu_pd(live, pred + s);
+    const __mmask8 nz = _mm512_mask_cmp_pd_mask(live, p, _mm512_setzero_pd(), _CMP_NEQ_UQ);
+    const __m512i idx = _mm512_add_epi64(iota, _mm512_set1_epi64(static_cast<long long>(s)));
+    const __m512i addr = _mm512_add_epi64(
+        base, _mm512_maskz_mul_epu32(static_cast<__mmask8>(0xFF), idx, step));
+    _mm512_storeu_pd(vals + m, _mm512_maskz_compress_pd(nz, p));
+    _mm512_storeu_si512(rows + m, _mm512_maskz_compress_epi64(nz, addr));
+    m += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(nz)));
   }
-  for (; o < n; ++o) w[o] += row[o] * scale;
+  return m;
 }
 
-/// AVX-512 widening of multiply_elementwise(): out[i] = a[i] · b[i].
+/// One vector of likelihood_classify8(): classifies the likelihoods of the
+/// `live` lanes of `w` (observation ids in `ids`) and appends the kept ones
+/// with two compressed full-vector stores.
+RECOVERD_AVX512_TARGET inline void classify8(__m512d w, __m512i ids, __mmask8 live,
+                                             __m512d floor, std::size_t* kept_obs,
+                                             double* kept_gamma, std::size_t& count,
+                                             std::size_t& pruned) {
+  const __mmask8 reach = _mm512_mask_cmp_pd_mask(live, w, _mm512_setzero_pd(), _CMP_NLE_UQ);
+  const __mmask8 keep = _mm512_mask_cmp_pd_mask(reach, w, floor, _CMP_NLT_UQ);
+  pruned += static_cast<std::size_t>(
+      __builtin_popcount(static_cast<unsigned>(reach) & ~static_cast<unsigned>(keep)));
+  _mm512_storeu_pd(kept_gamma + count, _mm512_maskz_compress_pd(keep, w));
+  _mm512_storeu_si512(kept_obs + count, _mm512_maskz_compress_epi64(keep, ids));
+  count += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(keep)));
+}
+
+/// AVX-512 widening of likelihood_classify4(): eight observations per
+/// vector, the same per-observation term order, and the same unordered
+/// classification (mask compares, so a NaN γ is kept). Each vector's kept
+/// lanes are stored compressed but whole, so kept_obs and kept_gamma need
+/// room for eight entries past the kept count.
+RECOVERD_AVX512_TARGET inline std::size_t likelihood_classify8(
+    const double* const* rows, const double* vals, std::size_t m, std::size_t n,
+    double floor, std::size_t* kept_obs, double* kept_gamma, std::size_t& cut) {
+  RECOVERD_FP_NO_CONTRACT
+  const __m512d fl = _mm512_set1_pd(floor);
+  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+  std::size_t count = 0;
+  std::size_t pruned = 0;  // a local, so it can live in a register
+  std::size_t o = 0;
+  for (; o + 32 <= n; o += 32) {
+    __m512d a0 = _mm512_setzero_pd();
+    __m512d a1 = _mm512_setzero_pd();
+    __m512d a2 = _mm512_setzero_pd();
+    __m512d a3 = _mm512_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      const double* r = rows[j] + o;
+      const __m512d v = _mm512_set1_pd(vals[j]);
+      a0 = _mm512_add_pd(a0, _mm512_mul_pd(_mm512_loadu_pd(r), v));
+      a1 = _mm512_add_pd(a1, _mm512_mul_pd(_mm512_loadu_pd(r + 8), v));
+      a2 = _mm512_add_pd(a2, _mm512_mul_pd(_mm512_loadu_pd(r + 16), v));
+      a3 = _mm512_add_pd(a3, _mm512_mul_pd(_mm512_loadu_pd(r + 24), v));
+    }
+    const __m512i base = _mm512_add_epi64(iota, _mm512_set1_epi64(static_cast<long long>(o)));
+    classify8(a0, base, 0xFF, fl, kept_obs, kept_gamma, count, pruned);
+    classify8(a1, _mm512_add_epi64(base, _mm512_set1_epi64(8)), 0xFF, fl, kept_obs,
+              kept_gamma, count, pruned);
+    classify8(a2, _mm512_add_epi64(base, _mm512_set1_epi64(16)), 0xFF, fl, kept_obs,
+              kept_gamma, count, pruned);
+    classify8(a3, _mm512_add_epi64(base, _mm512_set1_epi64(24)), 0xFF, fl, kept_obs,
+              kept_gamma, count, pruned);
+  }
+  for (; o < n; o += 8) {
+    const __mmask8 live =
+        n - o >= 8 ? static_cast<__mmask8>(0xFF) : static_cast<__mmask8>((1u << (n - o)) - 1u);
+    __m512d a = _mm512_setzero_pd();
+    for (std::size_t j = 0; j < m; ++j) {
+      a = _mm512_add_pd(a, _mm512_mul_pd(_mm512_maskz_loadu_pd(live, rows[j] + o),
+                                         _mm512_set1_pd(vals[j])));
+    }
+    classify8(a, _mm512_add_epi64(iota, _mm512_set1_epi64(static_cast<long long>(o))), live,
+              fl, kept_obs, kept_gamma, count, pruned);
+  }
+  cut += pruned;
+  return count;
+}
+
+/// AVX-512 widening of multiply_elementwise(): out[i] = a[i] · b[i], the
+/// tail through masked loads and stores.
 RECOVERD_AVX512_TARGET inline void multiply_elementwise_avx512(double* out,
                                                                const double* a,
                                                                const double* b,
@@ -289,7 +439,12 @@ RECOVERD_AVX512_TARGET inline void multiply_elementwise_avx512(double* out,
     _mm512_storeu_pd(out + i,
                      _mm512_mul_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
+  if (i < n) {
+    const auto live = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(out + i, live,
+                          _mm512_mul_pd(_mm512_maskz_loadu_pd(live, a + i),
+                                        _mm512_maskz_loadu_pd(live, b + i)));
+  }
 }
 
 /// AVX-512 widening of divide_in_place(): v[i] /= divisor.

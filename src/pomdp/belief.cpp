@@ -13,32 +13,48 @@ namespace recoverd {
 
 namespace {
 
-bool use_avx2() {
-#if RECOVERD_SIMD_KERNELS_X86
-  return simd::active_mode() == simd::Mode::Avx2;
-#else
-  return false;
-#endif
+// Grows `v` to at least `n` elements, doubling, and never shrinks it: the
+// frontier arrays keep their high-water size, so a warm kernel neither
+// allocates nor re-zeroes them.
+template <class T>
+void ensure_size(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(std::max(n, 2 * v.size()));
 }
 
-bool use_avx512() {
-#if RECOVERD_SIMD_KERNELS_X86
-  return simd::active_mode() == simd::Mode::Avx512;
-#else
-  return false;
-#endif
+// The floor classification every tier reproduces: o is unreachable when
+// γ(o) <= 0, pruned when γ(o) < floor, kept otherwise — so a NaN γ, for
+// which both tests are false, is kept.
+std::size_t classify(const double* w, std::size_t n, double floor, ObsId* kept_obs,
+                     double* kept_gamma, std::size_t& cut) {
+  std::size_t count = 0;
+  std::size_t pruned = 0;
+  for (ObsId o = 0; o < n; ++o) {
+    if (w[o] <= 0.0) continue;
+    if (w[o] < floor) {
+      ++pruned;  // reachable branch dropped by the floor
+      continue;
+    }
+    kept_obs[count] = o;
+    kept_gamma[count] = w[o];
+    ++count;
+  }
+  cut += pruned;
+  return count;
 }
 
-// Hints the prefetcher at the next CSR observation row while the current
-// one is being reduced — sparse qᵀ rows are short and scattered, so the
-// row-to-row latency otherwise dominates the frontier expansion. A pure
-// hint: no arithmetic, no semantic effect.
-inline void prefetch_row(std::span<const linalg::SparseEntry> row) {
-#if defined(__GNUC__) || defined(__clang__)
-  if (!row.empty()) __builtin_prefetch(row.data());
-#else
-  (void)row;
-#endif
+// Scalar reference of linalg::simd::likelihood_classify4/8: γ(o) = 0 +
+// Σ_j rows[j][o]·vals[j] in ascending j, all observations advancing
+// together through the support, then classify().
+std::size_t likelihood_classify(const double* const* rows, const double* vals,
+                                std::size_t m, std::size_t n, double floor, double* w,
+                                ObsId* kept_obs, double* kept_gamma, std::size_t& cut) {
+  std::fill(w, w + n, 0.0);
+  for (std::size_t j = 0; j < m; ++j) {
+    const double* row = rows[j];
+    const double v = vals[j];
+    for (std::size_t o = 0; o < n; ++o) w[o] += row[o] * v;
+  }
+  return classify(w, n, floor, kept_obs, kept_gamma, cut);
 }
 
 }  // namespace
@@ -151,181 +167,160 @@ std::optional<BeliefUpdate> update_belief(const Pomdp& pomdp, const Belief& beli
   return BeliefUpdate{Belief(std::move(unnormalized)), gamma};
 }
 
-std::size_t expand_successors_into(const Pomdp& pomdp, std::span<const double> belief,
-                                   ActionId action, double min_probability,
-                                   std::vector<double>& pred, std::vector<double>& weight,
-                                   std::vector<std::size_t>& branch_of,
-                                   std::vector<ObsId>& kept,
-                                   std::vector<double>& posteriors) {
-  const std::size_t num_obs = pomdp.num_observations();
-  const std::size_t num_states = pomdp.num_states();
-  pred.resize(num_states);
-  predict_state_distribution_into(pomdp, belief, action, pred);
-  // Two passes over qᵀ's observation rows (the hot path of the Max-Avg
-  // tree): pass 1 computes each likelihood γ(o) as one contiguous sparse dot
-  // q(o|·,a)·pred; pass 2 scatters posterior mass only for the observations
-  // that survive the floor. The transpose rows are in ascending state order,
-  // so the additions happen in the same order as a state-major scatter and
-  // the sums are bit-identical to it (terms with pred[s] = 0 contribute an
-  // exact +0.0; no term is negative, so no -0.0 can arise).
-  // Dense monitor models additionally carry a contiguous mirror of qᵀ; its
-  // structural zeros contribute exact +0.0 terms at the same ascending-state
-  // positions, so both kernels produce the same bits.
-  const auto& qt = pomdp.observation_transpose(action);
-  const std::span<const double> qd = pomdp.observation_transpose_dense(action);
-  weight.resize(num_obs);
-  if (!qd.empty()) {
-    // All γ(o) sums advance together through the states: iteration s adds
-    // q(o|s)·pred[s] to every observation's accumulator at once. Each γ(o)
-    // still sees its terms in ascending state order — the per-observation
-    // sums are independent, so this loop vectorizes across observations
-    // without reordering any of them.
-    const std::span<const double> q_rows = pomdp.observation_dense(action);
-    double* w = weight.data();
-    std::fill(w, w + num_obs, 0.0);
-#if RECOVERD_SIMD_KERNELS_X86
-    if (use_avx512()) {
-      for (std::size_t s = 0; s < num_states; ++s) {
-        linalg::simd::accumulate_scaled_avx512(w, q_rows.data() + s * num_obs, pred[s],
-                                               num_obs);
-      }
-    } else if (use_avx2()) {
-      for (std::size_t s = 0; s < num_states; ++s) {
-        linalg::simd::accumulate_scaled(w, q_rows.data() + s * num_obs, pred[s], num_obs);
-      }
-    } else {
-      for (std::size_t s = 0; s < num_states; ++s) {
-        const double ps = pred[s];
-        const double* row = q_rows.data() + s * num_obs;
-        for (std::size_t o = 0; o < num_obs; ++o) w[o] += row[o] * ps;
-      }
-    }
-#else
-    for (std::size_t s = 0; s < num_states; ++s) {
-      const double ps = pred[s];
-      const double* row = q_rows.data() + s * num_obs;
-      for (std::size_t o = 0; o < num_obs; ++o) w[o] += row[o] * ps;
-    }
-#endif
-  } else {
-    for (ObsId o = 0; o < num_obs; ++o) {
-      if (o + 1 < num_obs) prefetch_row(qt.row(o + 1));
-      double gamma = 0.0;
-      for (const auto& e : qt.row(o)) gamma += e.value * pred[e.col];
-      weight[o] = gamma;
-    }
-  }
-
-  branch_of.assign(num_obs, kNoBranch);
-  kept.clear();
-  std::size_t pruned = 0;
-  for (ObsId o = 0; o < num_obs; ++o) {
-    if (weight[o] <= 0.0) continue;
-    if (weight[o] < min_probability) {
-      ++pruned;  // reachable branch dropped by the floor
-      continue;
-    }
-    branch_of[o] = kept.size();
-    kept.push_back(o);
-  }
-  static obs::Counter& pruned_counter =
-      obs::metrics().counter("pomdp.belief.branches_pruned");
-  static obs::Counter& kept_counter =
-      obs::metrics().counter("pomdp.belief.branches_kept");
-  if (pruned > 0) pruned_counter.add(pruned);
-  kept_counter.add(kept.size());
-
-  posteriors.assign(kept.size() * num_states, 0.0);
-  if (!qd.empty()) {
-#if RECOVERD_SIMD_KERNELS_X86
-    if (use_avx512()) {
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        linalg::simd::multiply_elementwise_avx512(posteriors.data() + i * num_states,
-                                                  qd.data() + kept[i] * num_states,
-                                                  pred.data(), num_states);
-      }
-    } else if (use_avx2()) {
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        linalg::simd::multiply_elementwise(posteriors.data() + i * num_states,
-                                           qd.data() + kept[i] * num_states, pred.data(),
-                                           num_states);
-      }
-    } else {
-      for (std::size_t i = 0; i < kept.size(); ++i) {
-        double* row_out = posteriors.data() + i * num_states;
-        const double* row = qd.data() + kept[i] * num_states;
-        for (std::size_t s = 0; s < num_states; ++s) row_out[s] = row[s] * pred[s];
-      }
-    }
-#else
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      double* row_out = posteriors.data() + i * num_states;
-      const double* row = qd.data() + kept[i] * num_states;
-      for (std::size_t s = 0; s < num_states; ++s) row_out[s] = row[s] * pred[s];
-    }
-#endif
-  } else {
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      if (i + 1 < kept.size()) prefetch_row(qt.row(kept[i + 1]));
-      double* row_out = posteriors.data() + i * num_states;
-      for (const auto& e : qt.row(kept[i])) row_out[e.col] = e.value * pred[e.col];
-    }
-  }
-  return kept.size();
-}
-
 std::size_t expand_successors_batch(const Pomdp& pomdp, const double* beliefs,
                                     std::size_t lanes, std::size_t stride,
                                     ActionId action, double min_probability,
                                     SuccessorFrontier& out) {
-  RD_EXPECTS(stride >= pomdp.num_states(),
-             "expand_successors_batch: row stride below the state count");
   const std::size_t num_states = pomdp.num_states();
-  out.offsets.clear();
-  out.obs.clear();
-  out.gamma.clear();
-  out.posteriors.clear();
-  out.offsets.push_back(0);
-  // One pass over the whole batch: every lane runs the identical
-  // expand_successors_into() kernel sequence (prefetched CSR traversal,
-  // SIMD-dispatched likelihood and scatter passes) and appends its kept
-  // branches — ascending ObsId, exactly the per-node order — to the shared
-  // SoA arrays. Per-lane results are bit-identical to lone calls because
-  // the kernels never look across lanes.
+  const std::size_t num_obs = pomdp.num_observations();
+  RD_EXPECTS(stride >= num_states,
+             "expand_successors_batch: row stride below the state count");
+  RD_EXPECTS(action < pomdp.num_actions(), "expand_successors_batch: action out of range");
+  const linalg::SparseMatrix& pt = pomdp.transition_transpose(action);
+  const std::span<const std::size_t> pt_rows = pt.row_offsets();
+  const linalg::SparseEntry* pt_entries = pt.entry_array().data();
+  // Dense monitor models carry q(·|s,a) rows (likelihood pass) and q(o|·,a)
+  // rows (posterior rows) contiguous; the others keep the CSR scans.
+  const std::span<const double> q_rows = pomdp.observation_dense(action);
+  const std::span<const double> qt_rows = pomdp.observation_transpose_dense(action);
+  const linalg::SparseMatrix& q = pomdp.observation(action);
+  const linalg::SparseMatrix& qt = pomdp.observation_transpose(action);
+  const bool dense = !qt_rows.empty();
+  const simd::Mode mode = simd::active_mode();
+
+  out.offsets.resize(lanes + 1);
+  out.offsets[0] = 0;
+  out.pruned.resize(lanes);
+  out.pred.resize(num_states);
+  out.support_rows.resize(num_states + 8);
+  out.support_pred.resize(num_states + 8);
+  out.weight.resize(num_obs);
+  const double* pred = out.pred.data();
+  std::size_t count = 0;
+  std::size_t cut = 0;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const std::span<const double> belief{beliefs + lane * stride, num_states};
-    const std::size_t num_kept =
-        expand_successors_into(pomdp, belief, action, min_probability, out.pred,
-                               out.weight, out.branch_of, out.kept, out.row_scratch);
-    for (std::size_t i = 0; i < num_kept; ++i) {
-      out.obs.push_back(out.kept[i]);
-      out.gamma.push_back(out.weight[out.kept[i]]);
+    // pred = πᵀP(a): each pred(t) one dot over Pᵀ's row t, from 0.0, in
+    // ascending source state — the sums SparseMatrix::
+    // multiply_transpose_into scatters, in its term order. Its skip of
+    // π(s) = ±0 rows is a no-op here: their terms p·(±0) are ±0 for P's
+    // finite entries, and adding ±0 changes no sum that started at +0.0,
+    // NaN and ±inf included.
+    const double* belief = beliefs + lane * stride;
+    for (StateId t = 0; t < num_states; ++t) {
+      double acc = 0.0;
+      for (std::size_t k = pt_rows[t]; k < pt_rows[t + 1]; ++k) {
+        acc += pt_entries[k].value * belief[pt_entries[k].col];
+      }
+      out.pred[t] = acc;
     }
-    out.posteriors.insert(out.posteriors.end(), out.row_scratch.begin(),
-                          out.row_scratch.begin() +
-                              static_cast<std::ptrdiff_t>(num_kept * num_states));
-    out.offsets.push_back(out.obs.size());
+    const std::size_t cut_before = cut;
+    // Room for every observation, plus the whole-vector slack of the
+    // compressed stores.
+    ensure_size(out.obs, count + num_obs + 8);
+    ensure_size(out.gamma, count + num_obs + 8);
+    ObsId* kept_obs = out.obs.data() + count;
+    double* kept_gamma = out.gamma.data() + count;
+    std::size_t kept = 0;
+    if (dense) {
+      // Only states with pred(s) ≠ ±0 enter the sums: a skipped term
+      // q·(±0) is ±0 for a finite q, and adding ±0 leaves a sum that
+      // started at +0.0 unchanged. NaN and ±inf compare unequal to zero and
+      // stay in.
+      std::size_t m = 0;
+#if RECOVERD_SIMD_KERNELS_X86
+      if (mode == simd::Mode::Avx512) {
+        m = linalg::simd::gather_support8(pred, num_states, q_rows.data(), num_obs,
+                                          out.support_rows.data(), out.support_pred.data());
+      } else
+#endif
+      {
+        for (StateId s = 0; s < num_states; ++s) {
+          // Branch-free gather: every state is written, only the support
+          // advances m (the support varies lane to lane, so a branch here
+          // mispredicts).
+          out.support_rows[m] = q_rows.data() + s * num_obs;
+          out.support_pred[m] = pred[s];
+          m += pred[s] != 0.0 ? 1 : 0;
+        }
+      }
+      const double* const* rows = out.support_rows.data();
+      const double* vals = out.support_pred.data();
+#if RECOVERD_SIMD_KERNELS_X86
+      if (mode == simd::Mode::Avx512) {
+        kept = linalg::simd::likelihood_classify8(rows, vals, m, num_obs, min_probability,
+                                                  kept_obs, kept_gamma, cut);
+      } else if (mode == simd::Mode::Avx2) {
+        kept = linalg::simd::likelihood_classify4(rows, vals, m, num_obs, min_probability,
+                                                  kept_obs, kept_gamma, cut);
+      } else
+#endif
+      {
+        kept = likelihood_classify(rows, vals, m, num_obs, min_probability,
+                                   out.weight.data(), kept_obs, kept_gamma, cut);
+      }
+    } else {
+      // The same ascending-state sums, scattered through q's CSR rows.
+      double* w = out.weight.data();
+      std::fill(w, w + num_obs, 0.0);
+      for (StateId s = 0; s < num_states; ++s) {
+        const double ps = pred[s];
+        if (ps == 0.0) continue;
+        for (const auto& e : q.row(s)) w[e.col] += e.value * ps;
+      }
+      kept = classify(w, num_obs, min_probability, kept_obs, kept_gamma, cut);
+    }
+
+    ensure_size(out.posteriors, (count + kept) * num_states);
+    double* post = out.posteriors.data() + count * num_states;
+    for (std::size_t i = 0; i < kept; ++i) {
+      double* row_out = post + i * num_states;
+      if (!dense) {
+        std::fill(row_out, row_out + num_states, 0.0);
+        for (const auto& e : qt.row(kept_obs[i])) row_out[e.col] = e.value * pred[e.col];
+        continue;
+      }
+      const double* row = qt_rows.data() + kept_obs[i] * num_states;
+#if RECOVERD_SIMD_KERNELS_X86
+      if (mode == simd::Mode::Avx512) {
+        linalg::simd::multiply_elementwise_avx512(row_out, row, pred, num_states);
+        continue;
+      }
+      if (mode == simd::Mode::Avx2) {
+        linalg::simd::multiply_elementwise(row_out, row, pred, num_states);
+        continue;
+      }
+#endif
+      for (std::size_t s = 0; s < num_states; ++s) row_out[s] = row[s] * pred[s];
+    }
+    count += kept;
+    out.offsets[lane + 1] = count;
+    out.pruned[lane] = cut - cut_before;
   }
-  return out.obs.size();
+
+  static obs::Counter& pruned_counter =
+      obs::metrics().counter("pomdp.belief.branches_pruned");
+  static obs::Counter& kept_counter =
+      obs::metrics().counter("pomdp.belief.branches_kept");
+  if (cut > 0) pruned_counter.add(cut);
+  if (count > 0) kept_counter.add(count);
+  return count;
 }
 
 std::vector<ObservationBranch> belief_successors(const Pomdp& pomdp, const Belief& belief,
                                                  ActionId action,
                                                  double min_probability) {
-  std::vector<double> pred, weight, posteriors;
-  std::vector<std::size_t> branch_of;
-  std::vector<ObsId> kept;
-  const std::size_t num_kept =
-      expand_successors_into(pomdp, belief.probabilities(), action, min_probability, pred,
-                             weight, branch_of, kept, posteriors);
   const std::size_t num_states = pomdp.num_states();
+  RD_EXPECTS(belief.size() == num_states, "belief_successors: belief dimension mismatch");
+  SuccessorFrontier frontier;
+  const std::size_t num_kept = expand_successors_batch(
+      pomdp, belief.probabilities().data(), 1, num_states, action, min_probability, frontier);
 
   std::vector<ObservationBranch> branches;
   branches.reserve(num_kept);
   for (std::size_t i = 0; i < num_kept; ++i) {
-    std::vector<double> unnormalized(posteriors.begin() + i * num_states,
-                                     posteriors.begin() + (i + 1) * num_states);
-    branches.push_back({kept[i], weight[kept[i]], Belief(std::move(unnormalized))});
+    const auto row = frontier.posteriors.begin() + static_cast<std::ptrdiff_t>(i * num_states);
+    std::vector<double> unnormalized(row, row + static_cast<std::ptrdiff_t>(num_states));
+    branches.push_back({frontier.obs[i], frontier.gamma[i], Belief(std::move(unnormalized))});
   }
   return branches;
 }

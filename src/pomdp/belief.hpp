@@ -77,61 +77,56 @@ std::vector<double> predict_state_distribution(const Pomdp& pomdp, const Belief&
 void predict_state_distribution_into(const Pomdp& pomdp, std::span<const double> belief,
                                      ActionId action, std::span<double> out);
 
-/// Sentinel in expand_successors_into()'s `branch_of` map for observations
-/// that are unreachable or pruned by the floor.
-inline constexpr std::size_t kNoBranch = static_cast<std::size_t>(-1);
-
-/// Allocation-free core of belief_successors(), shared with the expansion
-/// engine so both code paths stay arithmetically identical. On return:
-///  - `pred` (|S|): predicted pre-observation distribution πᵀP(a);
-///  - `weight` (|O|): per-observation likelihoods γ^{π,a}(o);
-///  - `branch_of` (|O|): kept-branch index per observation, kNoBranch when
-///    unreachable or pruned;
-///  - `kept`: surviving observation ids in ascending order;
-///  - `posteriors`: row-major kept.size()×|S| *unnormalised* posterior mass
-///    (row i belongs to kept[i]; callers normalise — exactly once — before
-///    use).
-/// The output vectors are resized as needed and retain their capacity, so a
-/// caller that reuses them across calls allocates only until the high-water
-/// mark is reached. Bumps the same branches_kept/branches_pruned counters as
-/// belief_successors(). Returns kept.size().
-std::size_t expand_successors_into(const Pomdp& pomdp, std::span<const double> belief,
-                                   ActionId action, double min_probability,
-                                   std::vector<double>& pred, std::vector<double>& weight,
-                                   std::vector<std::size_t>& branch_of,
-                                   std::vector<ObsId>& kept,
-                                   std::vector<double>& posteriors);
-
-/// SoA successor frontier of a whole batch of beliefs under one action —
-/// the unit the deep-batch pipeline (DESIGN.md §16) expands per tree
-/// level. Branches are stored lane-major: lane l's kept branches occupy
-/// positions [offsets[l], offsets[l+1]) of `obs`/`gamma` and the matching
-/// row-major rows of `posteriors`, in ascending ObsId — exactly the order
-/// a lone expand_successors_into() call emits for that lane.
+/// SoA successor frontier of a batch of beliefs under one action — the
+/// unit the deep-batch pipeline (DESIGN.md §16) expands per tree level, and
+/// the one-lane unit of the serial walk. Branches are stored lane-major:
+/// lane l's kept branches occupy positions [offsets[l], offsets[l+1]) of
+/// `obs`/`gamma` and the matching row-major |S|-rows of `posteriors`, in
+/// ascending ObsId. The arrays keep their high-water size across calls, so
+/// only the first branches() entries are this call's; the rest is stale
+/// scratch.
 struct SuccessorFrontier {
   std::vector<std::size_t> offsets;  ///< lanes + 1 prefix sums
+  std::vector<std::size_t> pruned;   ///< per lane: reachable branches below the floor
   std::vector<ObsId> obs;            ///< kept observation ids
   std::vector<double> gamma;         ///< γ^{π,a}(o) per kept branch
   std::vector<double> posteriors;    ///< unnormalised posterior rows (|S| each)
 
-  std::size_t branches() const { return obs.size(); }
+  std::size_t branches() const { return offsets.empty() ? 0 : offsets.back(); }
 
-  // Reused per-call scratch (same role as expand_successors_into()'s
-  // caller-owned vectors; kept here so batch callers hold one object).
+  /// Capacity footprint in bytes, scratch included.
+  std::size_t bytes() const {
+    return (offsets.capacity() + pruned.capacity() + obs.capacity()) * sizeof(std::size_t) +
+           (gamma.capacity() + posteriors.capacity() + pred.capacity() +
+            support_pred.capacity() + weight.capacity()) *
+               sizeof(double) +
+           support_rows.capacity() * sizeof(const double*);
+  }
+
+  // Reused per-call scratch: one lane's pred = πᵀP(a), its support on the
+  // dense path (the states with pred(s) ≠ ±0, as q(·|s,a) rows and pred
+  // values), and the sparse path's likelihood accumulators.
   std::vector<double> pred;
+  std::vector<const double*> support_rows;
+  std::vector<double> support_pred;
   std::vector<double> weight;
-  std::vector<std::size_t> branch_of;
-  std::vector<ObsId> kept;
-  std::vector<double> row_scratch;
 };
 
 /// Expands `lanes` beliefs (rows of `beliefs`, `stride` doubles apart — a
 /// BeliefBatch's state-major mirror or any row-major matrix) under one
-/// action in a single pass, appending every surviving branch to `out` with
-/// prefetched CSR row traversal and the SIMD-dispatched likelihood/scatter
-/// kernels. Per lane the arithmetic (and the branches_kept/branches_pruned
-/// accounting) is bit-identical to expand_successors_into(). Returns the
-/// total branch count.
+/// action, overwriting `out` with every branch whose likelihood
+/// γ^{π,a}(o) = Σ_s q(o|s,a)·pred(s) is reachable and at least
+/// `min_probability`. Per lane:
+///  - pred = πᵀP(a);
+///  - γ(o) = 0 + Σ over ascending s with pred(s) ≠ ±0 of q(o|s,a)·pred(s),
+///    multiply then add — a skipped state's term is an exact zero;
+///  - o is unreachable when γ(o) <= 0, pruned when γ(o) < min_probability,
+///    kept otherwise (a NaN γ is kept);
+///  - kept rows hold q(o|s,a)·pred(s), unnormalised (callers normalise —
+///    exactly once — before use).
+/// The results are bitwise the same under every SIMD tier, and
+/// pomdp.belief.branches_kept / branches_pruned are bumped once per call.
+/// Returns the total branch count.
 std::size_t expand_successors_batch(const Pomdp& pomdp, const double* beliefs,
                                     std::size_t lanes, std::size_t stride,
                                     ActionId action, double min_probability,

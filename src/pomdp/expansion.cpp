@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "pomdp/belief.hpp"
 #include "pomdp/belief_batch.hpp"
+#include "util/belief_table.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -117,19 +118,100 @@ struct DeepInstruments {
     return instruments;
   }
 };
+
+// out[n] = linalg::dot(r, row n) for `count` row-major |r|-rows, four rows
+// per pass: each sum still runs from 0.0 in ascending state order,
+// multiply then add, so every value is linalg::dot's bit for bit; the four
+// independent chains only overlap their add latencies.
+void dot_rows(std::span<const double> r, const double* rows, std::size_t count,
+              double* out) {
+  const std::size_t dim = r.size();
+  std::size_t n = 0;
+  for (; n + 4 <= count; n += 4) {
+    const double* a = rows + n * dim;
+    const double* b = a + dim;
+    const double* c = b + dim;
+    const double* e = c + dim;
+    double sa = 0.0;
+    double sb = 0.0;
+    double sc = 0.0;
+    double se = 0.0;
+    for (std::size_t s = 0; s < dim; ++s) {
+      sa += r[s] * a[s];
+      sb += r[s] * b[s];
+      sc += r[s] * c[s];
+      se += r[s] * e[s];
+    }
+    out[n] = sa;
+    out[n + 1] = sb;
+    out[n + 2] = sc;
+    out[n + 3] = se;
+  }
+  for (; n < count; ++n) out[n] = linalg::dot(r, {rows + n * dim, dim});
+}
+
+// Row r of two CSR matrices holds the same (column, value) entries, bit
+// for bit.
+bool same_row(const linalg::SparseMatrix& x, const linalg::SparseMatrix& y, std::size_t r) {
+  const auto a = x.row(r);
+  const auto b = y.row(r);
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+bool same_matrix(const linalg::SparseMatrix& x, const linalg::SparseMatrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    if (!same_row(x, y, r)) return false;
+  }
+  return true;
+}
+
+// Two actions expand a belief into the same branches, bit for bit, when
+// their observation matrices match and their transition rows match on the
+// belief's support: pred(t) sums p(t|s)·π(s) over Pᵀ's row t, and a state
+// off the support adds an exact zero under either action. For every pair
+// a' < a this returns the states whose transition rows match, or 0 when
+// the observation matrices differ or |S| > 64 (the masks are one word).
+std::vector<std::uint64_t> successor_reuse_masks(const Pomdp& pomdp) {
+  const std::size_t num_states = pomdp.num_states();
+  const std::size_t num_actions = pomdp.num_actions();
+  std::vector<std::uint64_t> masks(num_actions * num_actions, 0);
+  if (num_states > 64) return masks;
+  std::vector<ActionId> obs_class(num_actions);
+  for (ActionId a = 0; a < num_actions; ++a) {
+    obs_class[a] = a;
+    for (ActionId b = 0; b < a; ++b) {
+      if (obs_class[b] == b && same_matrix(pomdp.observation(a), pomdp.observation(b))) {
+        obs_class[a] = b;
+        break;
+      }
+    }
+    for (ActionId b = 0; b < a; ++b) {
+      if (obs_class[a] != obs_class[b]) continue;
+      std::uint64_t mask = 0;
+      for (StateId s = 0; s < num_states; ++s) {
+        if (same_row(pomdp.mdp().transition(a), pomdp.mdp().transition(b), s)) {
+          mask |= std::uint64_t{1} << s;
+        }
+      }
+      masks[a * num_actions + b] = mask;
+    }
+  }
+  return masks;
+}
+
 }  // namespace
 
 // One tree level of the arena: the successor buffers of the node currently
 // open at that level plus the little state machine that replaces the call
 // stack of the recursive implementation.
 struct ExpansionEngine::Frame {
-  // Scratch buffers filled by expand_successors_into(); capacities persist
-  // across expansions, which is what makes the steady state allocation-free.
-  std::vector<double> pred;             // |S| predicted distribution
-  std::vector<double> weight;           // |O| observation likelihoods
-  std::vector<std::size_t> branch_of;   // |O| -> kept index
-  std::vector<ObsId> kept;              // surviving observations, ascending
-  std::vector<double> posteriors;       // kept×|S| normalised posteriors
+  // The open action's branches: a one-lane expand_successors_batch()
+  // frontier whose posterior rows are normalised in place. Capacities
+  // persist across expansions, which is what makes the steady state
+  // allocation-free.
+  SuccessorFrontier successors;
 
   // Node state.
   std::span<const double> belief;  // points into the parent frame's posteriors
@@ -151,11 +233,11 @@ struct ExpansionEngine::Frame {
   void advance_action(const Pomdp& pomdp, const ExpansionOptions& o);
   void finish_action(const Pomdp& pomdp, const ExpansionOptions& o);
 
-  std::size_t bytes() const {
-    return pred.capacity() * sizeof(double) + weight.capacity() * sizeof(double) +
-           branch_of.capacity() * sizeof(std::size_t) + kept.capacity() * sizeof(ObsId) +
-           posteriors.capacity() * sizeof(double);
+  const double* posterior(std::size_t i, std::size_t num_states) const {
+    return successors.posteriors.data() + i * num_states;
   }
+
+  std::size_t bytes() const { return successors.bytes(); }
 };
 
 // Exact transposition cache over successor beliefs (DESIGN.md §11).
@@ -368,54 +450,38 @@ struct ExpansionEngine::DeepScratch {
     }
   };
 
-  // Open-addressing canonicalization table: slot 0 is "empty", otherwise
-  // node index + 1. Allocation-free in steady state (a std::unordered_map
-  // of bucket vectors here costs one-plus allocations per distinct branch
-  // — tens of thousands per tick at fleet widths). `hashes` is parallel to
-  // the node table so probes skip memcmp on hash mismatch.
-  struct CanonTable {
-    std::vector<std::uint32_t> slots;
-    std::size_t mask = 0;
-
-    void reset(std::size_t expected_nodes) {
-      std::size_t want = 64;
-      while (want < 2 * expected_nodes) want <<= 1;
-      if (slots.size() < want) {
-        slots.assign(want, 0);
-      } else {
-        std::fill(slots.begin(), slots.end(), 0u);
-      }
-      mask = slots.size() - 1;
-    }
-
-    void grow_if_loaded(std::size_t nodes, const std::vector<std::uint64_t>& hashes) {
-      if (2 * nodes < slots.size()) return;
-      slots.assign(slots.size() * 2, 0);
-      mask = slots.size() - 1;
-      for (std::size_t n = 0; n < nodes; ++n) {
-        std::size_t pos = hashes[n] & mask;
-        while (slots[pos] != 0) pos = (pos + 1) & mask;
-        slots[pos] = static_cast<std::uint32_t>(n + 1);
-      }
-    }
-  };
-
   std::vector<double> rows;       // node table of the level being expanded
   std::vector<double> next_rows;  // node table being built beneath it
-  std::vector<std::uint64_t> next_hashes;  // parallel to next_rows' nodes
-  CanonTable table;
+  util::BeliefTable table;        // next_rows' index (one entry per node)
+  std::vector<std::uint64_t> branch_hashes;  // pass 1 -> pass 2, per chunk branch
   std::vector<Level> levels;
   SuccessorFrontier frontier;
+
+  // Successor reuse across actions (solve_classes_deep): `same_rows[a·A+a']`
+  // (a' < a) holds the states whose transition rows under a and a' match
+  // bitwise, and is 0 unless the two observation matrices match too;
+  // `support` the nonzero states of each node of the level; `source` the
+  // earlier action each lane of a chunk copies (kInvalidId: expand it);
+  // `fresh_rows` the gathered rows of the lanes to expand; `pruned` the
+  // per-(action, node) pruned count a copy replays.
+  std::vector<std::uint64_t> same_rows;
+  std::vector<std::uint64_t> support;
+  std::vector<ActionId> source;
+  std::vector<double> fresh_rows;
+  std::vector<std::uint32_t> pruned;
   std::vector<double> values;        // back-substitution: this level
   std::vector<double> child_values;  // back-substitution: one level down
 
   std::size_t bytes() const {
     std::size_t total = rows.capacity() * sizeof(double) +
-                        next_rows.capacity() * sizeof(double) +
-                        next_hashes.capacity() * sizeof(std::uint64_t) +
-                        table.slots.capacity() * sizeof(std::uint32_t) +
-                        values.capacity() * sizeof(double) +
-                        child_values.capacity() * sizeof(double);
+                        next_rows.capacity() * sizeof(double) + table.bytes() +
+                        branch_hashes.capacity() * sizeof(std::uint64_t) +
+                        frontier.bytes() + values.capacity() * sizeof(double) +
+                        child_values.capacity() * sizeof(double) +
+                        (same_rows.capacity() + support.capacity()) * sizeof(std::uint64_t) +
+                        source.capacity() * sizeof(ActionId) +
+                        fresh_rows.capacity() * sizeof(double) +
+                        pruned.capacity() * sizeof(std::uint32_t);
     for (const Level& level : levels) total += level.bytes();
     return total;
   }
@@ -446,13 +512,13 @@ void ExpansionEngine::Frame::advance_action(const Pomdp& pomdp,
     const ActionId a = next_action++;
     if (a == o.skip_action) continue;
     immediate = linalg::dot(pomdp.mdp().rewards(a), belief);
-    num_kept = expand_successors_into(pomdp, belief, a, o.branch_floor, pred, weight,
-                                      branch_of, kept, posteriors);
+    num_kept = expand_successors_batch(pomdp, belief.data(), 1, num_states, a,
+                                       o.branch_floor, successors);
     // Normalise every posterior exactly once — the same sum-then-divide the
     // Belief constructor performs, so leaves see bit-identical inputs.
     for (std::size_t i = 0; i < num_kept; ++i) {
       linalg::normalize_probability(
-          std::span<double>(posteriors.data() + i * num_states, num_states));
+          std::span<double>(successors.posteriors.data() + i * num_states, num_states));
     }
     value_acc = 0.0;
     kept_mass = 0.0;
@@ -507,10 +573,10 @@ void ExpansionEngine::evaluate_frontier(Frame& fr, const SpanLeaf& leaf,
   if (leaf.cost_hint() <= 3) {
     // Every child is a "miss" and the rows are already contiguous.
     if (leaf.has_batch() && n > 1) {
-      leaf.batch(fr.posteriors.data(), n, num_states, values);
+      leaf.batch(fr.posterior(0, num_states), n, num_states, values);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        values[i] = leaf({fr.posteriors.data() + i * num_states, num_states});
+        values[i] = leaf({fr.posterior(i, num_states), num_states});
       }
     }
     leaf_evaluations_counter().add(n);
@@ -522,8 +588,7 @@ void ExpansionEngine::evaluate_frontier(Frame& fr, const SpanLeaf& leaf,
     ws.frontier_miss_index.resize(n);
     std::size_t miss_count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const double> child(fr.posteriors.data() + i * num_states,
-                                          num_states);
+      const std::span<const double> child(fr.posterior(i, num_states), num_states);
       const std::uint64_t h = memo.hash_key(child, 0);
       ws.frontier_hashes[i] = h;
       if (!memo.lookup(child, 0, h, &values[i])) {
@@ -548,14 +613,14 @@ void ExpansionEngine::evaluate_frontier(Frame& fr, const SpanLeaf& leaf,
       for (std::size_t j = 0; j < miss_count; ++j) {
         const std::size_t i = ws.frontier_miss_index[j];
         values[i] = miss_values[j];
-        memo.insert({fr.posteriors.data() + i * num_states, num_states}, 0,
+        memo.insert({fr.posterior(i, num_states), num_states}, 0,
                     ws.frontier_hashes[i], miss_values[j]);
       }
     }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    const double gamma = fr.weight[fr.kept[i]];
+    const double gamma = fr.successors.gamma[i];
     fr.kept_mass += gamma;
     fr.value_acc += (options.beta * gamma) * values[i];
   }
@@ -592,7 +657,7 @@ double ExpansionEngine::expand_iterative(std::size_t base_level,
       // The finished subtree's root belief is still intact in the parent
       // posterior row (the parent only refills its buffers after folding
       // this value); cache it at the subtree's remaining depth.
-      memo.insert({parent.posteriors.data() + parent.branch * num_states, num_states},
+      memo.insert({parent.posterior(parent.branch, num_states), num_states},
                   depth - static_cast<int>(top + 1 - base_level), parent.pending_hash,
                   node_value);
       parent.value_acc += (options.beta * parent.pending_gamma) * node_value;
@@ -609,10 +674,9 @@ double ExpansionEngine::expand_iterative(std::size_t base_level,
     }
     // Visit the next branch. Kept mass accrues before the child is
     // evaluated, exactly as in the recursive action_future_value.
-    const double gamma = fr.weight[fr.kept[fr.branch]];
+    const double gamma = fr.successors.gamma[fr.branch];
     fr.kept_mass += gamma;
-    const std::span<const double> child(fr.posteriors.data() + fr.branch * num_states,
-                                        num_states);
+    const std::span<const double> child(fr.posterior(fr.branch, num_states), num_states);
     const std::uint64_t h = memo.hash_key(child, remaining - 1);
     double cached = 0.0;
     if (memo.lookup(child, remaining - 1, h, &cached)) {
@@ -648,12 +712,11 @@ double ExpansionEngine::root_action_future(std::span<const double> belief, Actio
   MemoCache& memo = ws.memo;
   memo.clear();
   Frame& fr = ws.frames[0];
-  fr.num_kept = expand_successors_into(pomdp, belief, action, options.branch_floor,
-                                       fr.pred, fr.weight, fr.branch_of, fr.kept,
-                                       fr.posteriors);
+  fr.num_kept = expand_successors_batch(pomdp, belief.data(), 1, num_states, action,
+                                        options.branch_floor, fr.successors);
   for (std::size_t i = 0; i < fr.num_kept; ++i) {
     linalg::normalize_probability(
-        std::span<double>(fr.posteriors.data() + i * num_states, num_states));
+        std::span<double>(fr.successors.posteriors.data() + i * num_states, num_states));
   }
   fr.value_acc = 0.0;
   fr.kept_mass = 0.0;
@@ -662,10 +725,9 @@ double ExpansionEngine::root_action_future(std::span<const double> belief, Actio
     evaluate_frontier(fr, leaf, options);
   } else {
     for (std::size_t i = 0; i < fr.num_kept; ++i) {
-      const double gamma = fr.weight[fr.kept[i]];
+      const double gamma = fr.successors.gamma[i];
       fr.kept_mass += gamma;
-      const std::span<const double> child(fr.posteriors.data() + i * num_states,
-                                          num_states);
+      const std::span<const double> child(fr.posterior(i, num_states), num_states);
       double child_value = 0.0;
       const std::uint64_t h = memo.hash_key(child, depth - 1);
       if (!memo.lookup(child, depth - 1, h, &child_value)) {
@@ -756,36 +818,25 @@ ActionValue ExpansionEngine::best_action(std::span<const double> belief, int dep
 // equal lanes (memcmp-confirmed, so a hash collision can only split a
 // class, never merge distinct beliefs). Classes are numbered in first-
 // occurrence lane order — the solve order of both batch paths — which keeps
-// the whole pass deterministic for any batch composition.
+// the whole pass deterministic for any batch composition. Each lane is
+// copied to the next free class row; a lane that opens no class is
+// overwritten by the next one.
 std::size_t ExpansionEngine::canonicalize_roots(const BeliefBatch& batch) {
   const std::size_t num_states = pomdp_->num_states();
   const std::size_t lanes = batch.size();
-  batch_rows_.resize(lanes * num_states);
-  batch_hashes_.resize(lanes);
+  batch_class_rows_.resize(lanes * num_states);
   batch_class_of_.resize(lanes);
-  batch_reps_.clear();
-  batch_buckets_.clear();
+  batch_table_.clear();
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    double* row = batch_rows_.data() + lane * num_states;
+    double* row = batch_class_rows_.data() + batch_table_.size() * num_states;
     batch.copy_lane(lane, {row, num_states});
-    const std::uint64_t h = util::hash_belief_bits(row, num_states);
-    batch_hashes_[lane] = h;
-    auto& bucket = batch_buckets_[h];
-    std::size_t cls = batch_reps_.size();
-    for (std::size_t candidate : bucket) {
-      const double* rep_row = batch_rows_.data() + batch_reps_[candidate] * num_states;
-      if (std::memcmp(rep_row, row, num_states * sizeof(double)) == 0) {
-        cls = candidate;
-        break;
-      }
-    }
-    if (cls == batch_reps_.size()) {
-      batch_reps_.push_back(lane);
-      bucket.push_back(cls);
-    }
-    batch_class_of_[lane] = cls;
+    batch_class_of_[lane] =
+        batch_table_
+            .find_or_insert(util::hash_belief_bits(row, num_states), row,
+                            batch_class_rows_.data(), num_states)
+            .first;
   }
-  return batch_reps_.size();
+  return batch_table_.size();
 }
 
 // One action_values() per class, in class (= first-occurrence) order.
@@ -797,10 +848,10 @@ void ExpansionEngine::solve_classes_classic(int depth, const SpanLeaf& leaf,
                                             const ExpansionOptions& options) {
   const std::size_t num_states = pomdp_->num_states();
   const std::size_t num_actions = pomdp_->num_actions();
-  const std::size_t num_classes = batch_reps_.size();
+  const std::size_t num_classes = batch_table_.size();
   batch_class_values_.resize(num_classes * num_actions);
   for (std::size_t cls = 0; cls < num_classes; ++cls) {
-    const double* row = batch_rows_.data() + batch_reps_[cls] * num_states;
+    const double* row = batch_class_rows_.data() + cls * num_states;
     action_values({row, num_states}, depth, leaf, options, class_values_scratch_);
     std::copy(class_values_scratch_.begin(), class_values_scratch_.end(),
               batch_class_values_.begin() +
@@ -883,17 +934,18 @@ void ExpansionEngine::decide_batch(const BeliefBatch& batch, int depth,
   select_best_lanes(batch.size(), options, best);
 }
 
-// The level-wise core of the deep pipeline. Expands the canonical roots in
-// batch_reps_ down to depth 0 — one expand_successors_batch() sweep per
-// (level, action), children canonicalized globally per level — evaluates
-// the distinct depth-0 frontier in one leaf batch, and back-substitutes
-// bottom-up. Every per-node fold replays the serial walk's exact operation
-// order (immediate via linalg::dot; per branch ascending ObsId: kept_mass
-// += γ then value_acc += (β·γ)·child; future = kept_mass <= 0 ? 0 :
-// value_acc/kept_mass; std::max over actions ascending), so a node's value
-// is bitwise the value expand_iterative() computes for the same belief bits
-// at the same remaining depth. Returns false — leaving batch_class_values_
-// untouched — when a level exceeds options.deep_node_budget.
+// The level-wise core of the deep pipeline. Expands the canonical roots
+// (the class rows) down to depth 0 — one expand_successors_batch() sweep
+// per (level, action, chunk), children canonicalized globally per level —
+// evaluates the distinct depth-0 frontier in one leaf batch, and
+// back-substitutes bottom-up. Every per-node fold replays the serial walk's
+// exact operation order (immediate via linalg::dot's term order; per branch
+// ascending ObsId: kept_mass += γ then value_acc += (β·γ)·child; future =
+// kept_mass <= 0 ? 0 : value_acc/kept_mass; std::max over actions
+// ascending), so a node's value is bitwise the value expand_iterative()
+// computes for the same belief bits at the same remaining depth. Returns
+// false — leaving batch_class_values_ untouched — when a level exceeds
+// options.deep_node_budget.
 bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
                                          const ExpansionOptions& options,
                                          BatchExpansionStats* stats) {
@@ -902,17 +954,16 @@ bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
   const std::size_t num_actions = pomdp.num_actions();
   if (!deep_) deep_ = std::make_unique<DeepScratch>();
   DeepScratch& d = *deep_;
-  const std::size_t num_classes = batch_reps_.size();
+  const std::size_t num_classes = batch_table_.size();
   if (num_classes > options.deep_node_budget) return false;
 
-  // Level-0 node table: the class representatives, gathered contiguous.
-  d.rows.resize(num_classes * num_states);
-  for (std::size_t cls = 0; cls < num_classes; ++cls) {
-    std::memcpy(d.rows.data() + cls * num_states,
-                batch_rows_.data() + batch_reps_[cls] * num_states,
-                num_states * sizeof(double));
-  }
+  // Level 0's node table is the class rows themselves.
+  const double* rows = batch_class_rows_.data();
   std::size_t cur_count = num_classes;
+  d.same_rows = successor_reuse_masks(pomdp);
+  static obs::Counter& kept_counter = obs::metrics().counter("pomdp.belief.branches_kept");
+  static obs::Counter& pruned_counter =
+      obs::metrics().counter("pomdp.belief.branches_pruned");
 
   const auto num_levels = static_cast<std::size_t>(depth);
   if (d.levels.size() < num_levels) d.levels.resize(num_levels);
@@ -928,9 +979,19 @@ bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
     level.edge_gamma.clear();
     level.edge_child.clear();
     d.next_rows.clear();
-    d.next_hashes.clear();
-    d.table.reset(cur_count);
-    std::size_t next_count = 0;
+    d.table.clear(cur_count);
+    d.pruned.resize(cur_count * num_actions);
+    d.support.resize(cur_count);
+    for (std::size_t n = 0; n < cur_count; ++n) {
+      std::uint64_t mask = ~std::uint64_t{0};  // |S| > 64: no reuse
+      if (num_states <= 64) {
+        mask = 0;
+        for (StateId s = 0; s < num_states; ++s) {
+          mask |= static_cast<std::uint64_t>(rows[n * num_states + s] != 0.0) << s;
+        }
+      }
+      d.support[n] = mask;
+    }
 
     obs::TraceSpan level_span("expansion.deep_level", obs::TraceLevel::Full);
     level_span.arg("level", static_cast<double>(lvl));
@@ -945,6 +1006,7 @@ bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
         }
         continue;
       }
+      const std::span<const double> rewards = pomdp.mdp().rewards(a);
       // Chunked expansion: materializing the whole level×action frontier
       // at once costs hundreds of MB at large levels (every posterior row
       // lives until canonicalization). Chunks of nodes bound the transient
@@ -953,53 +1015,103 @@ bool ExpansionEngine::solve_classes_deep(int depth, const SpanLeaf& leaf,
       constexpr std::size_t kExpandChunk = 2048;
       for (std::size_t chunk = 0; chunk < cur_count; chunk += kExpandChunk) {
         const std::size_t chunk_count = std::min(kExpandChunk, cur_count - chunk);
-        expand_successors_batch(pomdp, d.rows.data() + chunk * num_states, chunk_count,
-                                num_states, a, options.branch_floor, d.frontier);
+        const double* chunk_rows = rows + chunk * num_states;
+        dot_rows(rewards, chunk_rows, chunk_count,
+                 level.immediate.data() + a * cur_count + chunk);
+        // A lane whose support lies where an earlier action's transition
+        // rows match a's (observation matrices matching too) has that
+        // action's branches exactly: it copies them below. (An empty
+        // support expands to nothing under any action.) The rest are
+        // expanded, gathered contiguous when some lane is copied.
+        d.source.assign(chunk_count, kInvalidId);
+        std::size_t fresh = 0;
         for (std::size_t c = 0; c < chunk_count; ++c) {
-          const std::size_t n = chunk + c;
-          const double* node = d.rows.data() + n * num_states;
-          level.immediate[a * cur_count + n] =
-              linalg::dot(pomdp.mdp().rewards(a), {node, num_states});
-          for (std::size_t b = d.frontier.offsets[c]; b < d.frontier.offsets[c + 1];
-               ++b) {
-            double* post = d.frontier.posteriors.data() + b * num_states;
-            // Normalise exactly once — the same sum-then-divide every walk
-            // performs — *before* canonicalizing, so the child key is the
-            // bit pattern the leaf/subtree actually sees.
-            linalg::normalize_probability({post, num_states});
-            const std::uint64_t h = util::hash_belief_bits(post, num_states);
-            std::size_t child = next_count;
-            std::size_t pos = h & d.table.mask;
-            while (d.table.slots[pos] != 0) {
-              const std::size_t candidate = d.table.slots[pos] - 1;
-              if (d.next_hashes[candidate] == h &&
-                  std::memcmp(d.next_rows.data() + candidate * num_states, post,
-                              num_states * sizeof(double)) == 0) {
-                child = candidate;
-                break;
-              }
-              pos = (pos + 1) & d.table.mask;
+          for (ActionId b = 0; b < a; ++b) {
+            if (b != options.skip_action &&
+                (d.support[chunk + c] & ~d.same_rows[a * num_actions + b]) == 0) {
+              d.source[c] = b;
+              break;
             }
-            if (child == next_count) {
-              if (next_count + 1 > options.deep_node_budget) return false;
+          }
+          if (d.source[c] == kInvalidId) ++fresh;
+        }
+        const double* fresh_rows = chunk_rows;
+        if (fresh < chunk_count) {
+          d.fresh_rows.resize(fresh * num_states);
+          std::size_t f = 0;
+          for (std::size_t c = 0; c < chunk_count; ++c) {
+            if (d.source[c] != kInvalidId) continue;
+            std::memcpy(d.fresh_rows.data() + f * num_states, chunk_rows + c * num_states,
+                        num_states * sizeof(double));
+            ++f;
+          }
+          fresh_rows = d.fresh_rows.data();
+        }
+        const std::size_t branches = expand_successors_batch(
+            pomdp, fresh_rows, fresh, num_states, a, options.branch_floor, d.frontier);
+
+        // Pass 1: normalise every kept posterior exactly once — the same
+        // sum-then-divide every walk performs — *before* canonicalizing, so
+        // the child key is the bit pattern the leaf/subtree actually sees;
+        // then hash the rows as independent chains and pull their home
+        // slots toward the cache.
+        double* posts = d.frontier.posteriors.data();
+        for (std::size_t b = 0; b < branches; ++b) {
+          linalg::normalize_probability({posts + b * num_states, num_states});
+        }
+        d.branch_hashes.resize(branches);
+        util::hash_belief_rows(posts, branches, num_states, d.branch_hashes.data());
+        for (std::size_t b = 0; b < branches; ++b) d.table.prefetch(d.branch_hashes[b]);
+
+        // Pass 2: probe in branch order, so nodes are numbered by first
+        // occurrence exactly as a branch-at-a-time probe numbers them. A
+        // copied lane's children were all numbered when its source action
+        // ran, so copying probes nothing and numbers nothing.
+        std::size_t lane = 0;
+        std::size_t copied_kept = 0;
+        std::size_t copied_pruned = 0;
+        for (std::size_t c = 0; c < chunk_count; ++c) {
+          const std::size_t idx = a * cur_count + chunk + c;
+          if (d.source[c] != kInvalidId) {
+            const std::size_t from = d.source[c] * cur_count + chunk + c;
+            for (std::size_t e = level.edge_offsets[from]; e < level.edge_offsets[from + 1];
+                 ++e) {
+              level.edge_gamma.push_back(level.edge_gamma[e]);
+              level.edge_child.push_back(level.edge_child[e]);
+            }
+            copied_kept += level.edge_offsets[from + 1] - level.edge_offsets[from];
+            copied_pruned += d.pruned[from];
+            d.pruned[idx] = d.pruned[from];
+            level.edge_offsets.push_back(level.edge_gamma.size());
+            continue;
+          }
+          d.pruned[idx] = static_cast<std::uint32_t>(d.frontier.pruned[lane]);
+          for (std::size_t b = d.frontier.offsets[lane]; b < d.frontier.offsets[lane + 1];
+               ++b) {
+            const double* post = posts + b * num_states;
+            const auto [child, inserted] = d.table.find_or_insert(
+                d.branch_hashes[b], post, d.next_rows.data(), num_states);
+            if (inserted) {
+              if (child + 1 > options.deep_node_budget) return false;
               d.next_rows.insert(d.next_rows.end(), post, post + num_states);
-              d.next_hashes.push_back(h);
-              d.table.slots[pos] = static_cast<std::uint32_t>(next_count + 1);
-              ++next_count;
-              d.table.grow_if_loaded(next_count, d.next_hashes);
             }
             level.edge_gamma.push_back(d.frontier.gamma[b]);
             level.edge_child.push_back(static_cast<std::uint32_t>(child));
           }
           level.edge_offsets.push_back(level.edge_gamma.size());
+          ++lane;
         }
+        // The copies count as the expansions they replace.
+        if (copied_kept > 0) kept_counter.add(copied_kept);
+        if (copied_pruned > 0) pruned_counter.add(copied_pruned);
       }
     }
     // Every node at this level is a Max node the serial walk would open
     // (at least once; typically many times).
     nodes_expanded_counter().add(cur_count);
     std::swap(d.rows, d.next_rows);
-    cur_count = next_count;
+    rows = d.rows.data();
+    cur_count = d.table.size();
   }
 
   // The entire depth-0 frontier — every distinct leaf belief under every

@@ -5,7 +5,7 @@
 // std::function at every leaf. This engine walks the same depth-d tree
 // iteratively over a per-engine *workspace arena* — one reusable frame of
 // scratch buffers per tree level — with span-based kernels underneath
-// (SparseMatrix::multiply_transpose_into, expand_successors_into), so that
+// (expand_successors_batch, run one lane at a time), so that
 // after the first decision warms the arena, an expansion performs no heap
 // allocation at all.
 //
@@ -49,10 +49,9 @@
 #include <span>
 #include <vector>
 
-#include <unordered_map>
-
 #include "pomdp/pomdp.hpp"
 #include "pomdp/types.hpp"
+#include "util/belief_table.hpp"
 
 namespace recoverd {
 
@@ -327,14 +326,12 @@ class ExpansionEngine {
   std::size_t peak_arena_bytes_ = 0;
 
   // Batch canonicalization scratch (capacities persist across ticks).
-  std::vector<double> batch_rows_;            // gathered lane beliefs, row-major
-  std::vector<std::uint64_t> batch_hashes_;   // belief-bits hash per lane
+  std::vector<double> batch_class_rows_;      // class beliefs, row-major
+  util::BeliefTable batch_table_;             // batch_class_rows_' index
   std::vector<std::size_t> batch_class_of_;   // lane -> equivalence class
-  std::vector<std::size_t> batch_reps_;       // class -> first lane
   std::vector<ActionValue> batch_class_values_;  // class-major solve results
   std::vector<ActionValue> batch_best_scratch_;  // decide_batch() scratch
   std::vector<ActionValue> class_values_scratch_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> batch_buckets_;
   std::unique_ptr<DeepScratch> deep_;  // lazily built by the deep pipeline
 };
 

@@ -23,6 +23,11 @@ const linalg::SparseMatrix& Pomdp::observation(ActionId a) const {
   return observations_[a];
 }
 
+const linalg::SparseMatrix& Pomdp::transition_transpose(ActionId a) const {
+  RD_EXPECTS(a < num_actions(), "Pomdp::transition_transpose: action out of range");
+  return transition_transposes_[a];
+}
+
 const linalg::SparseMatrix& Pomdp::observation_transpose(ActionId a) const {
   RD_EXPECTS(a < num_actions(), "Pomdp::observation_transpose: action out of range");
   return observation_transposes_[a];
@@ -117,6 +122,7 @@ Pomdp PomdpBuilder::build(double tol) const {
 
   const std::size_t n = states_;
   for (std::size_t a = 0; a < actions_; ++a) {
+    p.transition_transposes_.push_back(p.mdp_.transition(a).transpose());
     linalg::SparseMatrixBuilder qb(n, obs_names_.size());
     for (std::size_t next = 0; next < n; ++next) {
       double total = 0.0;

@@ -29,6 +29,12 @@ class Pomdp {
   const std::string& observation_name(ObsId o) const;
   ObsId find_observation(const std::string& name) const;
 
+  /// |S|×|S| transpose of mdp().transition(a): row s' holds p(s'|·, a),
+  /// entries in ascending source state. Precomputed at build time for the
+  /// successor kernel's predict step, which sums each pred(s') as one
+  /// contiguous dot over its incoming transitions.
+  const linalg::SparseMatrix& transition_transpose(ActionId a) const;
+
   /// Row-stochastic |S|×|O| observation matrix of action a; row s' holds
   /// q(·|s', a).
   const linalg::SparseMatrix& observation(ActionId a) const;
@@ -82,6 +88,7 @@ class Pomdp {
 
   Mdp mdp_;
   std::vector<std::string> obs_names_;
+  std::vector<linalg::SparseMatrix> transition_transposes_;  // [a] : |S|×|S|
   std::vector<linalg::SparseMatrix> observations_;  // [a] : |S|×|O|
   std::vector<linalg::SparseMatrix> observation_transposes_;  // [a] : |O|×|S|
   // [a] : dense row-major mirrors (|S|×|O| and |O|×|S|), empty when gated

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -16,7 +15,7 @@ namespace recoverd::sim {
 
 namespace {
 
-constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+constexpr std::size_t kNoEntry = util::BeliefTable::npos;
 
 // Busy-wait for an injected, unguarded decide stall — the cost a production
 // fleet would really pay when one session's solve hangs inside a lock-step
@@ -189,9 +188,11 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
   }
 
   if (options_.decision_cache && options_.mode == FleetMode::Batch) {
+    // The 4-word overhead term dates from a bucket-map index; it stays so
+    // the cap (and with it the hit accounting) does not move.
     const std::size_t entry_bytes = model_.num_states() * sizeof(double) +
                                     model_.num_actions() * sizeof(ActionValue) +
-                                    4 * sizeof(std::size_t);  // bucket overhead
+                                    4 * sizeof(std::size_t);
     cache_entry_cap_ = (options_.decision_cache_mb << 20) / std::max<std::size_t>(
                                                                 entry_bytes, 1);
   }
@@ -204,24 +205,21 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
 
 std::size_t FleetDriver::cache_lookup(const double* belief) const {
   const std::size_t num_states = model_.num_states();
-  const auto bucket = cache_buckets_.find(util::hash_belief_bits(belief, num_states));
-  if (bucket == cache_buckets_.end()) return kNoEntry;
-  for (const std::size_t entry : bucket->second) {
-    if (std::memcmp(cache_keys_.data() + entry * num_states, belief,
-                    num_states * sizeof(double)) == 0) {
-      return entry;
-    }
-  }
-  return kNoEntry;
+  return cache_table_.find(util::hash_belief_bits(belief, num_states), belief,
+                           cache_keys_.data(), num_states);
 }
 
 void FleetDriver::cache_insert(const double* belief, const ActionValue* values) {
+  if (cache_table_.size() >= cache_entry_cap_) return;  // cap hit: keep serving lookups
   const std::size_t num_states = model_.num_states();
-  const std::size_t entry = cache_values_.size() / model_.num_actions();
-  if (entry >= cache_entry_cap_) return;  // cap hit: keep serving lookups
+  if (!cache_table_
+           .find_or_insert(util::hash_belief_bits(belief, num_states), belief,
+                           cache_keys_.data(), num_states)
+           .second) {
+    return;  // an earlier lane of this tick's class inserted it
+  }
   cache_keys_.insert(cache_keys_.end(), belief, belief + num_states);
   cache_values_.insert(cache_values_.end(), values, values + model_.num_actions());
-  cache_buckets_[util::hash_belief_bits(belief, num_states)].push_back(entry);
 }
 
 ObsId FleetDriver::deliver_observation(std::size_t slot, ObsId fresh) {
@@ -496,9 +494,7 @@ void FleetDriver::decide_phase() {
           // fresh entry and skip. Lanes share `values` rows bit-for-bit with
           // the class solve, so a future hit replays the exact solve output.
           decide_batch_.copy_lane(lane, lane_scratch_);
-          if (cache_lookup(lane_scratch_.data()) == kNoEntry) {
-            cache_insert(lane_scratch_.data(), values);
-          }
+          cache_insert(lane_scratch_.data(), values);
         }
       }
     }
@@ -880,7 +876,7 @@ void FleetDriver::adopt_checkpoint(const FleetCheckpoint& cp) {
   // produces: resumed *decisions* are unchanged; only the classes /
   // shared_hits work accounting can differ from the uninterrupted run
   // (which the parity conventions already exclude).
-  cache_buckets_.clear();
+  cache_table_.clear();
   cache_keys_.clear();
   cache_values_.clear();
   ewma_lane_ms_ = 0.0;

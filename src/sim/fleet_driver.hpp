@@ -52,7 +52,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bounds/bound_set.hpp"
@@ -63,6 +62,7 @@
 #include "sim/chaos_injector.hpp"
 #include "sim/environment.hpp"
 #include "sim/fault_injector.hpp"
+#include "util/belief_table.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -296,11 +296,13 @@ class FleetDriver {
   bool shedding_active_ = false;
 
   // Cross-tick decision cache (Batch mode): belief-bit keys in a flat arena,
-  // num_actions-strided value rows, hash buckets of entry indices confirmed
-  // by memcmp — misses only ever split entries, never merge them.
+  // num_actions-strided value rows, indexed by a BeliefTable whose probes
+  // are confirmed by memcmp — misses only ever split entries, never merge
+  // them.
   std::size_t cache_lookup(const double* belief) const;  // entry index or npos
+  // Adds an entry unless the belief is cached already or the cap is hit.
   void cache_insert(const double* belief, const ActionValue* values);
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> cache_buckets_;
+  util::BeliefTable cache_table_;
   std::vector<double> cache_keys_;        // entry i at [i·|S|, (i+1)·|S|)
   std::vector<ActionValue> cache_values_; // entry i at [i·|A|, (i+1)·|A|)
   std::size_t cache_entry_cap_ = 0;

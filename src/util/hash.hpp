@@ -44,13 +44,35 @@ inline std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
 }
 
 /// Hash of a belief row's bit pattern, for root canonicalization, the deep
-/// pipeline's node tables and the fleet's decision cache. Every probe is
-/// confirmed by memcmp, so a collision can only split a class, never merge
-/// two distinct beliefs.
+/// pipeline's node tables and the fleet's decision cache (BeliefTable).
+/// Every probe is confirmed by memcmp, so a collision can only split a
+/// class, never merge two distinct beliefs.
 inline std::uint64_t hash_belief_bits(const double* row, std::size_t num_states) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (std::size_t s = 0; s < num_states; ++s) h = fnv_step(h, bits_of(row[s]));
   return h;
+}
+
+/// hash_belief_bits() of `count` row-major rows, out[r] for row r. Eight
+/// rows advance together as independent chains, so their multiply
+/// latencies overlap instead of serializing; each chain is the single-row
+/// function.
+inline void hash_belief_rows(const double* rows, std::size_t count, std::size_t num_states,
+                             std::uint64_t* out) {
+  constexpr std::size_t kChains = 8;
+  std::size_t r = 0;
+  for (; r + kChains <= count; r += kChains) {
+    const double* base = rows + r * num_states;
+    std::uint64_t h[kChains];
+    for (std::size_t c = 0; c < kChains; ++c) h[c] = 0x9e3779b97f4a7c15ULL;
+    for (std::size_t s = 0; s < num_states; ++s) {
+      for (std::size_t c = 0; c < kChains; ++c) {
+        h[c] = fnv_step(h[c], bits_of(base[c * num_states + s]));
+      }
+    }
+    for (std::size_t c = 0; c < kChains; ++c) out[r + c] = h[c];
+  }
+  for (; r < count; ++r) out[r] = hash_belief_bits(rows + r * num_states, num_states);
 }
 
 }  // namespace recoverd::util

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include <csignal>
 
+#include "util/belief_table.hpp"
 #include "util/check.hpp"
 #include "util/cli.hpp"
 #include "util/crc64.hpp"
@@ -16,6 +19,71 @@
 
 namespace recoverd {
 namespace {
+
+// Rows of a BeliefTable store: 3 doubles each, appended in entry order.
+struct TableRows {
+  std::vector<double> rows;
+  util::BeliefTable table;
+
+  std::pair<std::size_t, bool> add(std::vector<double> row) {
+    const auto got = table.find_or_insert(util::hash_belief_bits(row.data(), row.size()),
+                                          row.data(), rows.data(), row.size());
+    if (got.second) rows.insert(rows.end(), row.begin(), row.end());
+    return got;
+  }
+
+  std::size_t find(const std::vector<double>& row) const {
+    return table.find(util::hash_belief_bits(row.data(), row.size()), row.data(),
+                      rows.data(), row.size());
+  }
+};
+
+TEST(BeliefTable, NumbersRowsByFirstOccurrenceAndMatchesBitwise) {
+  TableRows t;
+  EXPECT_EQ(t.find({0.5, 0.5, 0.0}), util::BeliefTable::npos);
+  EXPECT_EQ(t.add({0.5, 0.5, 0.0}), std::make_pair(std::size_t{0}, true));
+  EXPECT_EQ(t.add({0.25, 0.75, 0.0}), std::make_pair(std::size_t{1}, true));
+  EXPECT_EQ(t.add({0.5, 0.5, 0.0}), std::make_pair(std::size_t{0}, false));
+  // -0.0 and 0.0, and two NaN payloads, are different keys.
+  EXPECT_EQ(t.add({0.5, 0.5, -0.0}), std::make_pair(std::size_t{2}, true));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(t.add({nan, 0.0, 0.0}), std::make_pair(std::size_t{3}, true));
+  EXPECT_EQ(t.add({-nan, 0.0, 0.0}), std::make_pair(std::size_t{4}, true));
+  EXPECT_EQ(t.find({nan, 0.0, 0.0}), 3u);
+  EXPECT_EQ(t.table.size(), 5u);
+}
+
+TEST(BeliefTable, GrowthAndClearKeepEveryEntryFindable) {
+  TableRows t;
+  for (int round = 0; round < 3; ++round) {
+    t.table.clear(round == 2 ? 5000 : 0);
+    t.rows.clear();
+    for (std::size_t i = 0; i < 3000; ++i) {
+      const double v = static_cast<double>(i) + 0.125 * round;
+      ASSERT_EQ(t.add({v, 1.0 - v, 0.0}), std::make_pair(i, true));
+    }
+    for (std::size_t i = 0; i < 3000; ++i) {
+      const double v = static_cast<double>(i) + 0.125 * round;
+      ASSERT_EQ(t.find({v, 1.0 - v, 0.0}), i);
+    }
+    // The previous round's rows are gone.
+    if (round > 0) {
+      const double old = 0.125 * (round - 1);
+      EXPECT_EQ(t.find({old, 1.0 - old, 0.0}), util::BeliefTable::npos);
+    }
+  }
+}
+
+TEST(BeliefTable, ManyClearsWrapTheEpochWithoutStaleHits) {
+  TableRows t;
+  for (std::uint32_t k = 0; k < 70000; ++k) {
+    t.table.clear();
+    t.rows.clear();
+    const double v = static_cast<double>(k % 3);
+    ASSERT_EQ(t.find({v, 0.0, 0.0}), util::BeliefTable::npos) << "clear " << k;
+    ASSERT_EQ(t.add({v, 0.0, 0.0}), std::make_pair(std::size_t{0}, true));
+  }
+}
 
 TEST(Check, ExpectsThrowsWithContext) {
   try {
