@@ -17,6 +17,30 @@ namespace {
 
 constexpr std::size_t kNoEntry = util::BeliefTable::npos;
 
+// Class ids (DESIGN.md §13): class 0 of every store is the episode prior.
+// kKept never names a class: it marks an update triple whose reading had
+// zero likelihood (its lanes keep their beliefs).
+constexpr std::uint32_t kPriorClass = 0;
+constexpr std::uint32_t kKept = std::numeric_limits<std::uint32_t>::max();
+
+// The driver's one selection rule, BoundedController::decide()'s, over a
+// value row (index a = action a): max with ascending strict >, then the aT
+// near-tie preference. Returns the chosen action, kInvalidId for aT
+// (termination), with its expected bound (the livelock monitor's food).
+ActionValue select_action(const Pomdp& model, const ActionValue* values,
+                          double terminate_tie_epsilon) {
+  ActionValue best = values[0];
+  for (std::size_t a = 1; a < model.num_actions(); ++a) {
+    if (values[a].value > best.value) best = values[a];
+  }
+  if (model.has_terminate_action()) {
+    const ActionId at = model.terminate_action();
+    if (values[at].value >= best.value - terminate_tie_epsilon) best = values[at];
+    if (best.action == at) best.action = kInvalidId;
+  }
+  return best;
+}
+
 // Busy-wait for an injected, unguarded decide stall — the cost a production
 // fleet would really pay when one session's solve hangs inside a lock-step
 // tick. (With the guard on the solve is never attempted, so this never runs.)
@@ -124,7 +148,8 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
       engine_(controller_model),
       batch_(controller_model.num_states()),
       decide_batch_(controller_model.num_states()),
-      reduced_batch_(controller_model.num_states()) {
+      reduced_batch_(controller_model.num_states()),
+      triple_beliefs_(controller_model.num_states()) {
   RD_EXPECTS(options_.sessions >= 1, "FleetDriver: at least one session required");
   RD_EXPECTS(options_.tree_depth >= 1, "FleetDriver: tree depth must be >= 1");
   RD_EXPECTS(options_.guard.reduced_depth >= 1,
@@ -139,6 +164,10 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
   RD_EXPECTS(set_.dimension() == model_.num_states(),
              "FleetDriver: bound set dimension mismatch");
   RD_EXPECTS(set_.size() > 0, "FleetDriver: bound set must be seeded (RA-Bound)");
+  RD_EXPECTS(static_cast<double>(model_.num_actions()) *
+                     static_cast<double>(model_.num_observations()) <
+                 0x1p53,
+             "FleetDriver: action × observation count exceeds the update key range");
 
   // "All faults equally likely" (§4): the same initial belief run_episode
   // builds, shared by every (re)spawn.
@@ -168,6 +197,9 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
 
   batch_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) batch_.push_back(initial_probs_, i);
+  classes_.reset(initial_probs_);
+  class_of_.assign(n, kPriorClass);
+  lane_triple_.assign(n, 0);
   episode_steps_.assign(n, 0);
   last_actions_.assign(n, kInvalidId);
   pending_action_.assign(n, kInvalidId);
@@ -203,20 +235,33 @@ FleetDriver::FleetDriver(const Pomdp& controller_model, const Pomdp& env_model,
   update_phase();
 }
 
-std::size_t FleetDriver::cache_lookup(const double* belief) const {
-  const std::size_t num_states = model_.num_states();
-  return cache_table_.find(util::hash_belief_bits(belief, num_states), belief,
-                           cache_keys_.data(), num_states);
+std::uint32_t FleetDriver::ClassStore::intern(const double* row, std::size_t dim) {
+  const std::uint64_t hash = util::hash_belief_bits(row, dim);
+  const auto [entry, inserted] = table.find_or_insert(hash, row, rows.data(), dim);
+  if (inserted) {
+    rows.insert(rows.end(), row, row + dim);
+    hashes.push_back(hash);
+  }
+  return static_cast<std::uint32_t>(entry);
 }
 
-void FleetDriver::cache_insert(const double* belief, const ActionValue* values) {
+void FleetDriver::ClassStore::reset(std::span<const double> prior) {
+  table.clear();
+  rows.clear();
+  hashes.clear();
+  intern(prior.data(), prior.size());
+}
+
+std::size_t FleetDriver::cache_lookup(std::uint64_t hash, const double* belief) const {
+  return cache_table_.find(hash, belief, cache_keys_.data(), model_.num_states());
+}
+
+void FleetDriver::cache_insert(std::uint64_t hash, const double* belief,
+                               const ActionValue* values) {
   if (cache_table_.size() >= cache_entry_cap_) return;  // cap hit: keep serving lookups
   const std::size_t num_states = model_.num_states();
-  if (!cache_table_
-           .find_or_insert(util::hash_belief_bits(belief, num_states), belief,
-                           cache_keys_.data(), num_states)
-           .second) {
-    return;  // an earlier lane of this tick's class inserted it
+  if (!cache_table_.find_or_insert(hash, belief, cache_keys_.data(), num_states).second) {
+    return;  // cached by an earlier tick
   }
   cache_keys_.insert(cache_keys_.end(), belief, belief + num_states);
   cache_values_.insert(cache_values_.end(), values, values + model_.num_actions());
@@ -235,6 +280,7 @@ void FleetDriver::spawn(std::size_t slot) {
   const StateId fault = injector_.sample(slot_rng_[slot]);
   envs_[slot].reset(fault);
   batch_.assign_lane(slot, initial_probs_);
+  class_of_[slot] = kPriorClass;
   episode_steps_[slot] = 0;
   ticks_since_fresh_[slot] = 0;
   if (!guards_.empty()) guards_[slot].begin_episode();
@@ -254,28 +300,6 @@ void FleetDriver::finish_episode(std::size_t slot, bool terminated) {
   ++stats_.episodes_completed;
   if (envs_[slot].recovered()) ++stats_.episodes_recovered;
   if (!terminated) ++stats_.episodes_truncated;
-}
-
-// Replicates BoundedController::decide()'s selection over a per-lane value
-// row (index a = action a): max with ascending strict >, then the aT
-// near-tie preference. kInvalidId in last_actions_ marks termination.
-// Returns the chosen action's expected bound (the livelock monitor's food).
-double FleetDriver::select_decision(std::size_t slot, const ActionValue* values) {
-  const std::size_t num_actions = model_.num_actions();
-  ActionValue best = values[0];
-  for (std::size_t a = 1; a < num_actions; ++a) {
-    if (values[a].value > best.value) best = values[a];
-  }
-  bool terminate = false;
-  if (model_.has_terminate_action()) {
-    const ActionId at = model_.terminate_action();
-    if (values[at].value >= best.value - options_.terminate_tie_epsilon) {
-      best = values[at];
-    }
-    if (best.action == at) terminate = true;
-  }
-  last_actions_[slot] = terminate ? kInvalidId : best.action;
-  return best.value;
 }
 
 // Bookkeeping shared by every lane that received a fresh value row this tick
@@ -332,6 +356,44 @@ std::size_t FleetDriver::tick_quota(std::size_t solve_intents) {
   return solve_intents;  // no (engaged) budget: admit everything
 }
 
+// Chaos and belief hygiene ahead of the decide (fixed draw order: poison,
+// then the decide phase's stalls). In Batch mode each lane write here
+// moves the lane's class with it.
+void FleetDriver::prepass_phase() {
+  const std::size_t n = envs_.size();
+  const std::size_t num_states = model_.num_states();
+  std::fill(fault_this_tick_.begin(), fault_this_tick_.end(), std::uint8_t{0});
+  if (chaos_ && chaos_->options().poison_rate > 0.0) {
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      std::size_t state = 0;
+      double value = 0.0;
+      if (chaos_->draw_poison(slot, num_states, state, value)) {
+        batch_.set(slot, static_cast<StateId>(state), value);
+        ++stats_.poisons_injected;
+        if (options_.mode == FleetMode::Batch) {
+          batch_.copy_lane(slot, lane_scratch_);
+          class_of_[slot] = classes_.intern(lane_scratch_.data(), num_states);
+        }
+      }
+    }
+  }
+  if (options_.guard.enabled) {
+    // Belief hygiene: quarantine poisoned/inconsistent lanes back to the
+    // episode prior before anything reads them. Guarded fleets only — the
+    // unguarded baseline lets the NaNs flow, which is the failure the
+    // resilience campaign demonstrates.
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      batch_.copy_lane(slot, lane_scratch_);
+      if (lane_unhealthy(lane_scratch_.data(), num_states)) {
+        batch_.assign_lane(slot, initial_probs_);
+        class_of_[slot] = kPriorClass;
+        ++stats_.beliefs_repaired;
+        fault_this_tick_[slot] = 1;
+      }
+    }
+  }
+}
+
 void FleetDriver::decide_phase() {
   ExpansionOptions expansion;
   expansion.branch_floor = options_.branch_floor;
@@ -344,36 +406,8 @@ void FleetDriver::decide_phase() {
   const bool has_terminate = model_.has_terminate_action();
   const bool guard = options_.guard.enabled;
   const std::size_t n = envs_.size();
-  const std::size_t num_states = model_.num_states();
   const int full_depth = options_.tree_depth;
   const int reduced_depth = std::min(options_.guard.reduced_depth, full_depth);
-  std::fill(fault_this_tick_.begin(), fault_this_tick_.end(), std::uint8_t{0});
-
-  // --- chaos/hygiene pre-pass (fixed draw order: poison, then stalls) ----
-  if (chaos_ && chaos_->options().poison_rate > 0.0) {
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      std::size_t state = 0;
-      double value = 0.0;
-      if (chaos_->draw_poison(slot, num_states, state, value)) {
-        batch_.set(slot, static_cast<StateId>(state), value);
-        ++stats_.poisons_injected;
-      }
-    }
-  }
-  if (guard) {
-    // Belief hygiene: quarantine poisoned/inconsistent lanes back to the
-    // episode prior before anything reads them. Guarded fleets only — the
-    // unguarded baseline lets the NaNs flow, which is the failure the
-    // resilience campaign demonstrates.
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      batch_.copy_lane(slot, lane_scratch_);
-      if (lane_unhealthy(lane_scratch_.data(), num_states)) {
-        batch_.assign_lane(slot, initial_probs_);
-        ++stats_.beliefs_repaired;
-        fault_this_tick_[slot] = 1;
-      }
-    }
-  }
 
   // --- intent pass (slot-ascending, mode-independent) --------------------
   std::size_t solve_intents = 0;
@@ -382,14 +416,15 @@ void FleetDriver::decide_phase() {
     // sequence is a function of (seed, slot, tick) alone; the event is
     // discarded for lanes that terminate without deciding.
     const bool stalled = chaos_ && chaos_->draw_stall(slot);
-    batch_.copy_lane(slot, lane_scratch_);
     // Recovery-notification models: certain-enough beliefs terminate without
     // an expansion (BoundedController's goal-certainty exit).
-    if (!has_terminate && model_.mdp().goal_probability(lane_scratch_) >=
-                              options_.goal_certainty) {
-      last_actions_[slot] = kInvalidId;
-      intent_[slot] = Intent::Terminate;
-      continue;
+    if (!has_terminate) {
+      batch_.copy_lane(slot, lane_scratch_);
+      if (model_.mdp().goal_probability(lane_scratch_) >= options_.goal_certainty) {
+        last_actions_[slot] = kInvalidId;
+        intent_[slot] = Intent::Terminate;
+        continue;
+      }
     }
     if (stalled) {
       ++stats_.stalls_injected;
@@ -445,78 +480,7 @@ void FleetDriver::decide_phase() {
                        options_.tick_budget_decisions == 0 && admitted > 0;
   const Timer solve_timer;
   if (options_.mode == FleetMode::Batch) {
-    decide_batch_.clear();
-    reduced_batch_.clear();
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      if (intent_[slot] != Intent::Solve) continue;
-      ++stats_.decisions;
-      batch_.copy_lane(slot, lane_scratch_);
-      if (lane_depth_[slot] != full_depth) {
-        // Reduced-rung lanes solve in their own sub-batch and never touch
-        // the cross-tick cache (its entries are keyed by belief bits alone
-        // and must all mean "full depth").
-        ++stats_.reduced_decides;
-        ++stats_.degraded_decides;
-        reduced_batch_.push_back(lane_scratch_, slot);
-        continue;
-      }
-      if (cache_entry_cap_ > 0) {
-        const std::size_t entry = cache_lookup(lane_scratch_.data());
-        if (entry != kNoEntry) {
-          ++stats_.shared_hits;  // cross-tick reuse: bits of a past solve
-          const double value = select_decision(
-              slot, cache_values_.data() + entry * model_.num_actions());
-          note_fresh_decision(slot, value);
-          continue;
-        }
-      }
-      decide_batch_.push_back(lane_scratch_, slot);
-    }
-    const std::size_t num_actions = model_.num_actions();
-    if (!decide_batch_.empty()) {
-      BatchExpansionStats batch_stats;
-      if (options_.deep_batch) {
-        engine_.action_values_batch_deep(decide_batch_, full_depth, span_leaf,
-                                         expansion, values_scratch_, &batch_stats);
-      } else {
-        engine_.action_values_batch(decide_batch_, full_depth, span_leaf, expansion,
-                                    values_scratch_, &batch_stats);
-      }
-      stats_.classes += batch_stats.classes;
-      stats_.shared_hits += batch_stats.shared_hits;
-      for (std::size_t lane = 0; lane < decide_batch_.size(); ++lane) {
-        const auto slot = static_cast<std::size_t>(decide_batch_.session_id(lane));
-        const ActionValue* values = values_scratch_.data() + lane * num_actions;
-        const double value = select_decision(slot, values);
-        note_fresh_decision(slot, value);
-        if (cache_entry_cap_ > 0) {
-          // First lane of each intra-tick class inserts; classmates find the
-          // fresh entry and skip. Lanes share `values` rows bit-for-bit with
-          // the class solve, so a future hit replays the exact solve output.
-          decide_batch_.copy_lane(lane, lane_scratch_);
-          cache_insert(lane_scratch_.data(), values);
-        }
-      }
-    }
-    if (!reduced_batch_.empty()) {
-      BatchExpansionStats batch_stats;
-      if (options_.deep_batch) {
-        engine_.action_values_batch_deep(reduced_batch_, reduced_depth, span_leaf,
-                                         expansion, reduced_values_scratch_,
-                                         &batch_stats);
-      } else {
-        engine_.action_values_batch(reduced_batch_, reduced_depth, span_leaf,
-                                    expansion, reduced_values_scratch_, &batch_stats);
-      }
-      stats_.classes += batch_stats.classes;
-      stats_.shared_hits += batch_stats.shared_hits;
-      for (std::size_t lane = 0; lane < reduced_batch_.size(); ++lane) {
-        const auto slot = static_cast<std::size_t>(reduced_batch_.session_id(lane));
-        const double value = select_decision(
-            slot, reduced_values_scratch_.data() + lane * num_actions);
-        note_fresh_decision(slot, value);
-      }
-    }
+    solve_classes(span_leaf, expansion);
   } else {
     for (std::size_t slot = 0; slot < n; ++slot) {
       if (intent_[slot] != Intent::Solve) continue;
@@ -529,8 +493,10 @@ void FleetDriver::decide_phase() {
       engine_.action_values(lane_scratch_, lane_depth_[slot], span_leaf, expansion,
                             lane_values_);
       ++stats_.classes;
-      const double value = select_decision(slot, lane_values_.data());
-      note_fresh_decision(slot, value);
+      const ActionValue choice =
+          select_action(model_, lane_values_.data(), options_.terminate_tie_epsilon);
+      last_actions_[slot] = choice.action;
+      note_fresh_decision(slot, choice.value);
     }
   }
   if (measure) {
@@ -567,6 +533,94 @@ void FleetDriver::decide_phase() {
   }
 
   set_.flush_eval(eval_scratch_);
+}
+
+// Batch-mode solves. Full-depth Solve lanes are served per class: the
+// first lane of a class (ascending slot) probes the cross-tick cache once,
+// and on a miss hands the class row to the engine — the distinct rows a
+// per-lane pass would hand it, in the same first-occurrence order, so node
+// numbering, plane use counts and cache insert order do not move. Every
+// member then takes the class's choice with its own staleness and livelock
+// bookkeeping. Reduced-rung lanes solve in their own sub-batch and never
+// touch the cross-tick cache (its entries are keyed by belief bits alone
+// and must all mean "full depth").
+void FleetDriver::solve_classes(const SpanLeaf& leaf, const ExpansionOptions& expansion) {
+  const std::size_t n = envs_.size();
+  const std::size_t num_states = model_.num_states();
+  const std::size_t num_actions = model_.num_actions();
+  const double tie_epsilon = options_.terminate_tie_epsilon;
+  const int full_depth = options_.tree_depth;
+  const int reduced_depth = std::min(options_.guard.reduced_depth, full_depth);
+  decide_batch_.clear();
+  reduced_batch_.clear();
+  class_seen_.assign(classes_.size(), 0);
+  class_choice_.resize(classes_.size());
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (intent_[slot] != Intent::Solve) continue;
+    ++stats_.decisions;
+    const std::uint32_t c = class_of_[slot];
+    if (lane_depth_[slot] != full_depth) {
+      ++stats_.reduced_decides;
+      ++stats_.degraded_decides;
+      reduced_batch_.push_back({classes_.row(c, num_states), num_states}, slot);
+      continue;
+    }
+    if (class_seen_[c] != 0) {
+      ++stats_.shared_hits;  // a class-mate's solve or cache hit
+      continue;
+    }
+    class_seen_[c] = 1;
+    const double* row = classes_.row(c, num_states);
+    if (cache_entry_cap_ > 0) {
+      const std::size_t entry = cache_lookup(classes_.hashes[c], row);
+      if (entry != kNoEntry) {
+        ++stats_.shared_hits;  // cross-tick reuse: bits of a past solve
+        class_choice_[c] =
+            select_action(model_, cache_values_.data() + entry * num_actions, tie_epsilon);
+        continue;
+      }
+    }
+    decide_batch_.push_back({row, num_states}, c);
+  }
+
+  // The engine tallies its own canonicalization; rows of the full-depth
+  // batch are distinct already, so its shared hits there are 0.
+  const auto solve = [&](const BeliefBatch& batch, int depth,
+                         std::vector<ActionValue>& out) {
+    BatchExpansionStats batch_stats;
+    if (options_.deep_batch) {
+      engine_.action_values_batch_deep(batch, depth, leaf, expansion, out, &batch_stats);
+    } else {
+      engine_.action_values_batch(batch, depth, leaf, expansion, out, &batch_stats);
+    }
+    stats_.classes += batch_stats.classes;
+    stats_.shared_hits += batch_stats.shared_hits;
+  };
+
+  solve(decide_batch_, full_depth, values_scratch_);
+  for (std::size_t lane = 0; lane < decide_batch_.size(); ++lane) {
+    const auto c = static_cast<std::uint32_t>(decide_batch_.session_id(lane));
+    const ActionValue* values = values_scratch_.data() + lane * num_actions;
+    class_choice_[c] = select_action(model_, values, tie_epsilon);
+    if (cache_entry_cap_ > 0) {
+      cache_insert(classes_.hashes[c], classes_.row(c, num_states), values);
+    }
+  }
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (intent_[slot] != Intent::Solve || lane_depth_[slot] != full_depth) continue;
+    const ActionValue& choice = class_choice_[class_of_[slot]];
+    last_actions_[slot] = choice.action;
+    note_fresh_decision(slot, choice.value);
+  }
+
+  solve(reduced_batch_, reduced_depth, reduced_values_scratch_);
+  for (std::size_t lane = 0; lane < reduced_batch_.size(); ++lane) {
+    const auto slot = static_cast<std::size_t>(reduced_batch_.session_id(lane));
+    const ActionValue choice = select_action(
+        model_, reduced_values_scratch_.data() + lane * num_actions, tie_epsilon);
+    last_actions_[slot] = choice.action;
+    note_fresh_decision(slot, choice.value);
+  }
 }
 
 void FleetDriver::act_phase() {
@@ -611,8 +665,7 @@ void FleetDriver::update_phase() {
     }
   }
   if (options_.mode == FleetMode::Batch) {
-    update_batch(model_, batch_, pending_action_, pending_obs_, update_ws_);
-    stats_.belief_mismatches += update_ws_.failures;
+    update_classes();
   } else {
     for (std::size_t slot = 0; slot < n; ++slot) {
       if (pending_action_[slot] == kInvalidId) continue;
@@ -630,14 +683,93 @@ void FleetDriver::update_phase() {
   std::fill(pending_action_.begin(), pending_action_.end(), kInvalidId);
 }
 
+// Batch-mode Bayes update, once per distinct (class, action, observation)
+// triple: update_batch() conditions one lane per triple — the kernel every
+// lane would have run, so the same bits — and the posteriors become the
+// next tick's classes. A lane without a pending reading, or whose reading
+// had zero likelihood, keeps its belief and carries its class over.
+void FleetDriver::update_classes() {
+  const std::size_t n = envs_.size();
+  const std::size_t num_states = model_.num_states();
+  const std::size_t num_obs = model_.num_observations();
+  triple_table_.clear();
+  triple_keys_.clear();
+  triple_beliefs_.clear();
+  triple_actions_.clear();
+  triple_obs_.clear();
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const ActionId action = pending_action_[slot];
+    if (action == kInvalidId) continue;
+    const std::uint32_t c = class_of_[slot];
+    const ObsId obs = pending_obs_[slot];
+    const double key[2] = {static_cast<double>(c),
+                           static_cast<double>(action * num_obs + obs)};
+    const auto [triple, inserted] = triple_table_.find_or_insert(
+        util::hash_belief_bits(key, 2), key, triple_keys_.data(), 2);
+    if (inserted) {
+      triple_keys_.insert(triple_keys_.end(), key, key + 2);
+      triple_beliefs_.push_back({classes_.row(c, num_states), num_states}, triple);
+      triple_actions_.push_back(action);
+      triple_obs_.push_back(obs);
+    }
+    lane_triple_[slot] = static_cast<std::uint32_t>(triple);
+  }
+  update_batch(model_, triple_beliefs_, triple_actions_, triple_obs_, update_ws_);
+
+  next_classes_.reset(initial_probs_);
+  triple_class_.resize(triple_beliefs_.size());
+  for (std::size_t triple = 0; triple < triple_beliefs_.size(); ++triple) {
+    if (update_ws_.likelihood[triple] <= 0.0) {
+      triple_class_[triple] = kKept;
+      continue;
+    }
+    triple_beliefs_.copy_lane(triple, lane_scratch_);
+    triple_class_[triple] = next_classes_.intern(lane_scratch_.data(), num_states);
+  }
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (pending_action_[slot] != kInvalidId) {
+      const std::uint32_t next = triple_class_[lane_triple_[slot]];
+      if (next != kKept) {
+        class_of_[slot] = next;
+        continue;
+      }
+      ++stats_.belief_mismatches;  // lane kept as-is, like update_batch
+    }
+    class_of_[slot] = next_classes_.intern(classes_.row(class_of_[slot], num_states), num_states);
+  }
+  // A kept lane's row holds its own bits, so one state-major sweep writes
+  // every lane back from its class.
+  for (StateId s = 0; s < num_states; ++s) {
+    double* lanes = batch_.state_lanes(s).data();
+    const double* rows = next_classes_.rows.data() + s;
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      lanes[slot] = rows[static_cast<std::size_t>(class_of_[slot]) * num_states];
+    }
+  }
+  std::swap(classes_, next_classes_);
+}
+
 void FleetDriver::tick() {
   obs::TraceSpan span("sim.fleet.tick", obs::TraceLevel::Decide);
   span.arg("sessions", static_cast<double>(envs_.size()));
 
   const FleetStats before = stats_;
-  decide_phase();
-  act_phase();
-  update_phase();
+  {
+    obs::TraceSpan phase("sim.fleet.prepass", obs::TraceLevel::Full);
+    prepass_phase();
+  }
+  {
+    obs::TraceSpan phase("sim.fleet.decide", obs::TraceLevel::Full);
+    decide_phase();
+  }
+  {
+    obs::TraceSpan phase("sim.fleet.act", obs::TraceLevel::Full);
+    act_phase();
+  }
+  {
+    obs::TraceSpan phase("sim.fleet.update", obs::TraceLevel::Full);
+    update_phase();
+  }
   ++stats_.ticks;
 
   FleetInstruments& instruments = FleetInstruments::get();
@@ -871,6 +1003,14 @@ void FleetDriver::adopt_checkpoint(const FleetCheckpoint& cp) {
     guards_[slot].set_state(cp.guard_state[slot]);
   }
   if (chaos_) chaos_->set_rng_states(cp.chaos_rng);
+  if (options_.mode == FleetMode::Batch) {
+    // Every lane changed under its class: intern the adopted beliefs anew.
+    classes_.reset(initial_probs_);
+    for (std::size_t slot = 0; slot < n; ++slot) {
+      batch_.copy_lane(slot, lane_scratch_);
+      class_of_[slot] = classes_.intern(lane_scratch_.data(), num_states);
+    }
+  }
 
   // Caches restart cold and refill with the exact bits a fresh solve
   // produces: resumed *decisions* are unchanged; only the classes /

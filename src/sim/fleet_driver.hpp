@@ -1,12 +1,15 @@
 // Throughput-mode fleet simulation (DESIGN.md §13) hardened into a
 // fault-tolerant runtime (§14): N synchronized recovery sessions advance in
-// lock-step *ticks* against private hidden-state environments, with every
-// per-session decision and belief update routed through the batch-first
-// engine entry points — one ExpansionEngine::action_values_batch() call
-// (shared-subtree reuse across sessions whose beliefs coincide bitwise) and
-// one update_batch() call per tick. A session that terminates (or hits the
-// step cap) is respawned with a fresh injected fault, so the fleet stays at
-// constant width and decisions/second is a steady-state measurement.
+// lock-step *ticks* against private hidden-state environments. Batch mode
+// does the work once per distinct belief and the bookkeeping once per
+// session: each slot carries a *class id* into the tick's store of distinct
+// belief rows, so a tick probes the decision cache, feeds the engine's batch
+// entry point and applies the argmax/aT rule once per class, and runs
+// update_batch() once per distinct (class, action, observation) triple,
+// interning the posteriors as the next tick's classes.
+// A session that terminates (or hits the step cap) is respawned with a
+// fresh injected fault, so the fleet stays at constant width and
+// decisions/second is a steady-state measurement.
 //
 // FleetMode::Loop runs the identical schedule through the single-session
 // primitives (action_values() + update_belief() per lane). Both modes
@@ -201,12 +204,13 @@ struct FleetStats {
   std::size_t ladder_promotions = 0;
 };
 
-/// Lock-step driver of `sessions` recovery sessions. Each tick runs three
-/// phases over all slots: decide (terminate on goal certainty / aT tie,
-/// otherwise the depth-d Max-Avg action — selection logic identical to
-/// BoundedController::decide()), act (environment step, respawn on
-/// termination or cap), and belief update (batched Bayes conditioning;
-/// respawned slots take their initial monitor reading instead).
+/// Lock-step driver of `sessions` recovery sessions. Each tick runs a
+/// chaos/hygiene pre-pass and three phases over all slots: decide
+/// (terminate on goal certainty / aT tie, otherwise the depth-d Max-Avg
+/// action — selection logic identical to BoundedController::decide()), act
+/// (environment step, respawn on termination or cap), and belief update
+/// (batched Bayes conditioning; respawned slots take their initial monitor
+/// reading instead).
 class FleetDriver {
  public:
   /// `controller_model` is the (possibly terminate-transformed) model the
@@ -258,17 +262,38 @@ class FleetDriver {
   void restore_checkpoint(const std::string& path);
 
  private:
+  // A tick's distinct belief rows (Batch mode): a BeliefTable over a
+  // row-major store, with each row's hash kept for the decision-cache
+  // probe. Class 0 is always the episode prior.
+  struct ClassStore {
+    util::BeliefTable table;
+    std::vector<double> rows;           // class c at [c·dim, (c+1)·dim)
+    std::vector<std::uint64_t> hashes;  // hash_belief_bits of class c
+
+    std::size_t size() const { return hashes.size(); }
+    const double* row(std::uint32_t c, std::size_t dim) const {
+      return rows.data() + static_cast<std::size_t>(c) * dim;
+    }
+    // The class of `row`, appended when new; `row` must not point into
+    // `rows`.
+    std::uint32_t intern(const double* row, std::size_t dim);
+    // Forgets every class, then makes `prior` class 0.
+    void reset(std::span<const double> prior);
+  };
+
   void spawn(std::size_t slot);
   void finish_episode(std::size_t slot, bool terminated);
-  double select_decision(std::size_t slot, const ActionValue* values);
   void note_fresh_decision(std::size_t slot, double expected_bound);
-  void apply_fallback(std::size_t slot, bool count_shed);
+  void apply_fallback(std::size_t slot, bool heuristic_only);
   ObsId deliver_observation(std::size_t slot, ObsId fresh);
   std::size_t tick_quota(std::size_t solve_intents);
   std::uint64_t options_hash() const;
+  void prepass_phase();
   void decide_phase();
+  void solve_classes(const SpanLeaf& leaf, const ExpansionOptions& expansion);
   void act_phase();
   void update_phase();
+  void update_classes();
 
   const Pomdp& model_;
   const Pomdp& env_model_;
@@ -298,14 +323,22 @@ class FleetDriver {
   // Cross-tick decision cache (Batch mode): belief-bit keys in a flat arena,
   // num_actions-strided value rows, indexed by a BeliefTable whose probes
   // are confirmed by memcmp — misses only ever split entries, never merge
-  // them.
-  std::size_t cache_lookup(const double* belief) const;  // entry index or npos
+  // them. Both calls take the row's hash_belief_bits().
+  std::size_t cache_lookup(std::uint64_t hash, const double* belief) const;  // entry or npos
   // Adds an entry unless the belief is cached already or the cap is hit.
-  void cache_insert(const double* belief, const ActionValue* values);
+  void cache_insert(std::uint64_t hash, const double* belief, const ActionValue* values);
   util::BeliefTable cache_table_;
   std::vector<double> cache_keys_;        // entry i at [i·|S|, (i+1)·|S|)
   std::vector<ActionValue> cache_values_; // entry i at [i·|A|, (i+1)·|A|)
   std::size_t cache_entry_cap_ = 0;
+
+  // Belief classes (Batch mode, DESIGN.md §13): between phases, lane s of
+  // batch_ is bitwise row class_of_[s] of classes_. Update interns the
+  // posteriors into next_classes_ and swaps the two; every other lane
+  // write sets the lane's class itself.
+  ClassStore classes_;
+  ClassStore next_classes_;
+  std::vector<std::uint32_t> class_of_;
 
   // Per-tick scratch (capacities persist across ticks).
   enum class Intent : std::uint8_t { Terminate, Solve, Fallback };
@@ -313,8 +346,10 @@ class FleetDriver {
   std::vector<int> lane_depth_;           // Solve lanes: depth to expand at
   std::vector<std::uint8_t> fault_this_tick_;
   std::vector<std::size_t> solve_slots_;  // Solve intents, ascending slot
-  BeliefBatch decide_batch_;   // full-depth lanes needing expansion
+  BeliefBatch decide_batch_;   // full-depth classes needing expansion
   BeliefBatch reduced_batch_;  // Reduced-rung lanes needing expansion
+  std::vector<std::uint8_t> class_seen_;   // decide: a Solve lane reached the class
+  std::vector<ActionValue> class_choice_;  // decide: action (kInvalidId = aT) + value
   std::vector<ActionValue> values_scratch_;
   std::vector<ActionValue> reduced_values_scratch_;
   std::vector<ActionValue> lane_values_;
@@ -322,6 +357,16 @@ class FleetDriver {
   std::vector<ActionId> last_actions_;
   std::vector<ActionId> pending_action_;  // conditioning pair for update_phase
   std::vector<ObsId> pending_obs_;
+  // update: distinct (class, action, observation) triples, keyed by a
+  // two-double row {class, action·|O| + observation}, their inputs and the
+  // next-tick class of each posterior.
+  util::BeliefTable triple_table_;
+  std::vector<double> triple_keys_;
+  BeliefBatch triple_beliefs_;
+  std::vector<ActionId> triple_actions_;
+  std::vector<ObsId> triple_obs_;
+  std::vector<std::uint32_t> triple_class_;
+  std::vector<std::uint32_t> lane_triple_;
   BatchUpdateWorkspace update_ws_;
   bounds::BoundSet::EvalScratch eval_scratch_;
 };

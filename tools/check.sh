@@ -46,7 +46,10 @@
 #      tests/golden/, so a change that moves every tier alike fails too.
 #
 #   9. bench: builds perfbench/ into .bench_build and runs its bench_smoke
-#      test (every benchmark workload at tiny sizes, all checks).
+#      test (every benchmark workload at tiny sizes, all checks). Then it
+#      runs every workload for one second at seed 2006 and compares its
+#      output digest with tests/golden/perfbench_digests.txt; any
+#      difference, or any failed check of the run, fails the step.
 #
 #  10. resilience: a smoke run of the fault-tolerant fleet campaign
 #      (DESIGN.md §14: guard ladder under every chaos axis, overload
@@ -228,6 +231,24 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   fi
   cmake --build .bench_build -j "$JOBS"
   ctest --test-dir .bench_build --output-on-failure
+  echo "== bench: perfbench output digests against tests/golden/perfbench_digests.txt =="
+  # A digest covers what a workload computed (beliefs, actions, costs,
+  # bounds), so a change meant to be output-neutral keeps all four.
+  mkdir -p /tmp/recoverd_digests
+  while read -r workload want; do
+    # recoverd_bench exits nonzero when any of the run's checks fails.
+    if ! out=$(./.bench_build/recoverd_bench --workload="$workload" --seed=2006 \
+                 --seconds=1 --trace=0 --scratch=/tmp/recoverd_digests); then
+      echo "$out"
+      echo "digests: $workload failed a check" >&2
+      exit 1
+    fi
+    got=$(awk -v w="$workload" '$1 == w && $2 == "digest" { print $3 }' <<< "$out")
+    if [[ "$got" != "$want" ]]; then
+      echo "digests: $workload digest $got, recorded $want" >&2
+      exit 1
+    fi
+  done < tests/golden/perfbench_digests.txt
 fi
 
 if [[ "${SKIP_RESILIENCE:-0}" != "1" ]]; then
