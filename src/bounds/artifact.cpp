@@ -1,7 +1,6 @@
 #include "bounds/artifact.hpp"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -15,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/crc64.hpp"
+#include "util/framed_file.hpp"
 #include "util/hash.hpp"
 #include "util/timer.hpp"
 
@@ -59,30 +59,64 @@ struct ArtifactInstruments {
   throw ModelError("bound artifact '" + path + "': " + why);
 }
 
-// ---- byte-buffer writer -------------------------------------------------
+// ---- payload emitter ----------------------------------------------------
+//
+// One template for both passes of a save: a util::ByteCounter sizes the
+// payload for the header, then the util::FramedFileWriter streams it. Large
+// arrays go out straight from the chain and the set.
 
-struct Writer {
-  std::vector<unsigned char> bytes;
+/// A u32 array, zero-padded to the next 8-byte file offset (keeps u64/f64
+/// fields 8-aligned relative to the file start for in-place mmap walkers).
+template <class Out>
+void put_u32_array(Out& out, const std::vector<std::uint32_t>& values) {
+  out.raw(values.data(), values.size() * 4);
+  out.pad8();
+}
 
-  void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    bytes.insert(bytes.end(), p, p + n);
-  }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void f64(double v) { raw(&v, 8); }
-  /// Zero-pads to the next 8-byte boundary (keeps u64/f64 fields 8-aligned
-  /// relative to the file start for in-place mmap walkers).
-  void pad8() {
-    static const unsigned char zeros[8] = {};
-    raw(zeros, (8 - bytes.size() % 8) % 8);
-  }
-  void u32_array(const std::uint32_t* data, std::size_t count) {
-    raw(data, count * 4);
-    pad8();
-  }
-};
+template <class Out>
+void emit_payload(Out& out, const RandomActionChain& chain, const BoundSet& set,
+                  std::uint64_t model_hash) {
+  const std::size_t n = chain.num_states();
+  const linalg::SolvePlan& plan = chain.plan;
+  out.u64(model_hash);
+  out.u64(n);
+  out.u64(chain.num_actions);
+
+  // -- chain.q (CSR, wholesale) --
+  out.u64(chain.q.cols());
+  out.u64(chain.q.rows());
+  out.u64(chain.q.nonzeros());
+  out.raw(chain.q.row_offsets().data(), (chain.q.rows() + 1) * 8);
+  out.raw(chain.q.entry_array().data(), chain.q.nonzeros() * sizeof(linalg::SparseEntry));
+
+  // -- chain.c --
+  out.raw(chain.c.data(), n * 8);
+
+  // -- solve plan --
+  out.u64(plan.num_components);
+  out.u64(plan.num_singletons);
+  out.u64(plan.largest_component);
+  put_u32_array(out, plan.component);
+  put_u32_array(out, plan.members);
+  out.raw(plan.component_ptr.data(), plan.component_ptr.size() * 8);
+  put_u32_array(out, plan.level_of);
+  out.u64(plan.level_components.size());
+  put_u32_array(out, plan.level_components);
+  out.u64(plan.level_ptr.size());
+  out.raw(plan.level_ptr.data(), plan.level_ptr.size() * 8);
+
+  // -- bound set (the fields of BoundSet::Snapshot, read in place) --
+  out.u64(set.dimension());
+  out.u64(set.capacity());
+  out.u64(set.generation());
+  out.u8(set.first_added() ? 1 : 0);
+  out.pad8();
+  out.u64(set.size());
+  for (std::size_t i = 0; i < set.size(); ++i) out.u8(set.is_protected(i) ? 1 : 0);
+  out.pad8();
+  for (std::size_t i = 0; i < set.size(); ++i) out.u64(set.use_count(i));
+  for (std::size_t i = 0; i < set.size(); ++i) out.raw(set.vector_at(i).data(), n * 8);
+}
 
 // ---- mmap'd (or fallback-read) input file -------------------------------
 
@@ -250,93 +284,19 @@ std::uint64_t save_bound_artifact(const std::string& path,
   RD_EXPECTS(set.dimension() == n,
              "save_bound_artifact: bound set dimension must match the chain");
   const Timer timer;
-  const linalg::SolvePlan& plan = chain.plan;
-  const BoundSet::Snapshot snap = set.snapshot();
+  util::ByteCounter payload(kHeaderBytes);
+  emit_payload(payload, chain, set, model_hash);
 
-  Writer payload;
-  // Rough size: the big blocks plus slack for the fixed fields; avoids
-  // re-allocation churn at 10⁶ states where the payload is hundreds of MB.
-  payload.bytes.reserve(chain.q.nonzeros() * sizeof(linalg::SparseEntry) +
-                        (n + 1) * 8 + n * 8 + n * 16 + plan.members.size() * 8 +
-                        snap.planes.size() * (n + 2) * 8 + 512);
-  payload.u64(model_hash);
-  payload.u64(n);
-  payload.u64(chain.num_actions);
-
-  // -- chain.q (CSR, wholesale) --
-  payload.u64(chain.q.cols());
-  payload.u64(chain.q.rows());
-  payload.u64(chain.q.nonzeros());
-  payload.raw(chain.q.row_offsets().data(), (chain.q.rows() + 1) * 8);
-  payload.raw(chain.q.entry_array().data(),
-              chain.q.nonzeros() * sizeof(linalg::SparseEntry));
-
-  // -- chain.c --
-  payload.raw(chain.c.data(), n * 8);
-
-  // -- solve plan --
-  payload.u64(plan.num_components);
-  payload.u64(plan.num_singletons);
-  payload.u64(plan.largest_component);
-  payload.u32_array(plan.component.data(), plan.component.size());
-  payload.u32_array(plan.members.data(), plan.members.size());
-  payload.raw(plan.component_ptr.data(), plan.component_ptr.size() * 8);
-  payload.u32_array(plan.level_of.data(), plan.level_of.size());
-  payload.u64(plan.level_components.size());
-  payload.u32_array(plan.level_components.data(), plan.level_components.size());
-  payload.u64(plan.level_ptr.size());
-  payload.raw(plan.level_ptr.data(), plan.level_ptr.size() * 8);
-
-  // -- bound set --
-  payload.u64(snap.dimension);
-  payload.u64(snap.capacity);
-  payload.u64(snap.generation);
-  payload.u8(snap.first_added ? 1 : 0);
-  payload.pad8();
-  payload.u64(snap.planes.size());
-  for (const BoundSet::Snapshot::Plane& p : snap.planes) {
-    payload.u8(p.is_protected ? 1 : 0);
-  }
-  payload.pad8();
-  for (const BoundSet::Snapshot::Plane& p : snap.planes) payload.u64(p.uses);
-  for (const BoundSet::Snapshot::Plane& p : snap.planes) {
-    payload.raw(p.vector.data(), p.vector.size() * 8);
-  }
-
-  Writer file;
-  file.bytes.reserve(kHeaderBytes + payload.bytes.size() + 8);
-  file.u64(kMagic);
+  util::FramedFileWriter file(path, "bound artifact", kMagic);
   file.u32(kBoundArtifactVersion);
   file.u32(0);  // reserved: 8-aligns the payload
-  file.u64(payload.bytes.size());
-  file.raw(payload.bytes.data(), payload.bytes.size());
-  const std::uint64_t crc = util::crc64(file.bytes.data() + 8, file.bytes.size() - 8);
-  file.u64(crc);
-
-  // Atomic write: tmp file in the same directory, fsync, rename over.
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    fail(path, "cannot create '" + tmp + "' — check the directory exists and is "
-               "writable");
-  }
-  const std::size_t written = std::fwrite(file.bytes.data(), 1, file.bytes.size(), out);
-  const bool flushed = std::fflush(out) == 0;
-  const bool synced = ::fsync(::fileno(out)) == 0;
-  std::fclose(out);
-  if (written != file.bytes.size() || !flushed || !synced) {
-    std::remove(tmp.c_str());
-    fail(path, "short write to '" + tmp + "' — disk full or I/O error; the previous "
-               "artifact (if any) is untouched");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail(path, "cannot rename '" + tmp + "' into place");
-  }
+  file.u64(payload.position() - kHeaderBytes);
+  emit_payload(file, chain, set, model_hash);
+  const std::uint64_t crc = file.commit();
 
   ArtifactInstruments& instruments = ArtifactInstruments::get();
   instruments.saves.add();
-  instruments.bytes_written.add(file.bytes.size());
+  instruments.bytes_written.add(file.position());
   instruments.save_ms.set(timer.elapsed_ms());
   return crc;
 }

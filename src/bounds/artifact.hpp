@@ -30,10 +30,13 @@
 // makes it equally correct on truncated, odd-sized, or otherwise unaligned
 // inputs — corruption is answered with a ModelError, never a fault.
 //
-// Writes are atomic (tmp + fsync + rename) and reads are paranoid, exactly
-// like sim/checkpoint.cpp: truncation, foreign magic, unknown version,
-// flipped bits, length drift, and model mismatch each map to a distinct
-// actionable ModelError, and a rejected file never returns partial data.
+// Writes stream through util::FramedFileWriter, the framing shared with
+// sim/checkpoint.cpp: no payload buffer or file image is ever built, and
+// the save is atomic and durable (tmp + fsync + close + rename + directory
+// fsync). Reads are paranoid, exactly like sim/checkpoint.cpp: truncation,
+// foreign magic, unknown version, flipped bits, length drift, and model
+// mismatch each map to a distinct actionable ModelError, and a rejected
+// file never returns partial data.
 #pragma once
 
 #include <cstdint>
@@ -67,11 +70,14 @@ struct BoundArtifact {
 /// model is rejected — with an actionable message — when offered to another.
 std::uint64_t hash_mdp(const Mdp& mdp);
 
-/// Atomically serializes `chain` + `set` to `path` (tmp + fsync + rename).
-/// `model_hash` should be hash_mdp of the model the bounds were built from.
-/// Returns the artifact's content hash (the stored CRC-64). Throws
-/// ModelError when the file cannot be created, fully written, or renamed.
-/// Precondition: chain and set agree on the state dimension.
+/// Atomically and durably serializes `chain` + `set` to `path` (tmp + fsync
+/// + close + rename + directory fsync), streaming every array straight from
+/// the chain and the set. `model_hash` should be hash_mdp of the model the
+/// bounds were built from. Returns the artifact's content hash (the stored
+/// CRC-64). Throws ModelError when the file cannot be created, fully
+/// written, synced, closed or renamed; the previous file at `path`, if any,
+/// is then untouched. Precondition: chain and set agree on the state
+/// dimension.
 std::uint64_t save_bound_artifact(const std::string& path,
                                   const RandomActionChain& chain,
                                   const BoundSet& set, std::uint64_t model_hash);

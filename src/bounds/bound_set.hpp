@@ -48,6 +48,9 @@ class BoundSet {
   /// the same hyperplanes).
   std::uint64_t generation() const { return generation_; }
 
+  /// Whether a first vector was ever added (Snapshot::first_added).
+  bool first_added() const { return first_added_; }
+
   /// Outcome of an add() call.
   enum class AddResult {
     Added,            ///< stored (possibly evicting or pruning others)

@@ -1,6 +1,7 @@
 #include "bounds/ra_bound.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
@@ -80,32 +81,36 @@ RandomActionChain build_random_action_chain(const Mdp& mdp, linalg::SolverJobs j
   }
 
   // Upper-bound CSR offsets: row s holds at most Σ_a nnz_a(s) entries
-  // before duplicate columns merge.
-  std::vector<std::size_t> upper(n + 1, 0);
+  // before duplicate columns merge. They size the final entry array, and
+  // each worker's row range owns the matching slice of it.
+  std::vector<std::size_t> row_ptr(n + 1, 0);
   for (ActionId a = 0; a < num_actions; ++a) {
-    for (std::size_t s = 0; s < n; ++s) upper[s + 1] += transitions[a]->row(s).size();
+    for (std::size_t s = 0; s < n; ++s) row_ptr[s + 1] += transitions[a]->row(s).size();
   }
-  for (std::size_t s = 0; s < n; ++s) upper[s + 1] += upper[s];
+  for (std::size_t s = 0; s < n; ++s) row_ptr[s + 1] += row_ptr[s];
 
-  std::vector<linalg::SparseEntry> scratch(upper[n]);
+  std::vector<linalg::SparseEntry> entries(row_ptr[n]);
   std::vector<std::size_t> counts(n, 0);
 
   // Each row merges its per-action entries independently (gather in action
   // order, stable sort by column, sum runs), so chunking rows across
-  // workers cannot change a single bit of the output.
+  // workers cannot change a single bit of the output. A range writes its
+  // rows back to back from the start of its slice: the next row is
+  // gathered where the previous merged row ended, so it never reaches past
+  // its own upper bound.
   const auto assemble_rows = [&](std::size_t begin, std::size_t end) {
+    std::size_t out = row_ptr[begin];
     for (std::size_t s = begin; s < end; ++s) {
-      const std::size_t base = upper[s];
-      std::size_t out = base;
+      const std::size_t base = out;
       double reward_acc = 0.0;
       for (ActionId a = 0; a < num_actions; ++a) {
         for (const auto& e : transitions[a]->row(s)) {
-          scratch[out++] = {e.col, inv_actions * e.value};
+          entries[out++] = {e.col, inv_actions * e.value};
         }
         reward_acc += inv_actions * rewards[a][s];
       }
       chain.c[s] = reward_acc;
-      const std::span<linalg::SparseEntry> row{scratch.data() + base, out - base};
+      const std::span<linalg::SparseEntry> row{entries.data() + base, out - base};
       sort_row_by_col(row);
       std::size_t merged = 0;
       std::size_t i = 0;
@@ -115,29 +120,39 @@ RandomActionChain build_random_action_chain(const Mdp& mdp, linalg::SolverJobs j
         row[merged++] = acc;
       }
       counts[s] = merged;
+      out = base + merged;
     }
   };
 
   const std::size_t workers = std::max<std::size_t>(1, std::min(jobs, n));
+  const auto range_begin = [&](std::size_t t) { return n * t / workers; };
   if (workers <= 1) {
     assemble_rows(0, n);
   } else {
     // Same contiguous row partition as the per-call thread team this
-    // replaces; rows are assembled into disjoint scratch slices, so the
-    // assembly is bit-identical for any worker count.
+    // replaces; ranges write disjoint slices of `entries`, so the assembly
+    // is bit-identical for any worker count.
     util::WorkPool::instance().run(workers, [&](std::size_t t) {
-      assemble_rows(n * t / workers, n * (t + 1) / workers);
+      assemble_rows(range_begin(t), range_begin(t + 1));
     });
   }
 
-  // Compact the merged rows into the final CSR arrays.
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  for (std::size_t s = 0; s < n; ++s) row_ptr[s + 1] = row_ptr[s] + counts[s];
-  std::vector<linalg::SparseEntry> entries(row_ptr[n]);
-  for (std::size_t s = 0; s < n; ++s) {
-    std::copy_n(scratch.begin() + static_cast<std::ptrdiff_t>(upper[s]), counts[s],
-                entries.begin() + static_cast<std::ptrdiff_t>(row_ptr[s]));
+  // Compact in place: slide each range's merged rows down to where the
+  // previous range's ended (a no-op for the first range, so a serial build
+  // moves nothing), then turn the upper bounds into the final offsets.
+  std::size_t nnz = 0;
+  for (std::size_t t = 0; t < workers; ++t) {
+    const std::size_t from = row_ptr[range_begin(t)];
+    std::size_t len = 0;
+    for (std::size_t s = range_begin(t); s < range_begin(t + 1); ++s) len += counts[s];
+    if (from != nnz) {
+      std::memmove(entries.data() + nnz, entries.data() + from,
+                   len * sizeof(linalg::SparseEntry));
+    }
+    nnz += len;
   }
+  for (std::size_t s = 0; s < n; ++s) row_ptr[s + 1] = row_ptr[s] + counts[s];
+  entries.resize(nnz);
   chain.q = linalg::SparseMatrix::from_csr(n, std::move(row_ptr), std::move(entries));
   instruments.nnz.set(static_cast<double>(chain.q.nonzeros()));
   assembly_timer.stop();

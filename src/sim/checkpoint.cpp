@@ -4,10 +4,9 @@
 #include <cstring>
 #include <string>
 
-#include <unistd.h>
-
 #include "util/check.hpp"
 #include "util/crc64.hpp"
+#include "util/framed_file.hpp"
 #include "util/hash.hpp"
 
 namespace recoverd::sim {
@@ -20,30 +19,14 @@ using util::mix_in;
 
 constexpr std::uint64_t kMagic = 0x314b43544c464452ULL;  // "RDFLTCK1" LE
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8;           // magic+version+len
-// Bytes each session stores beside its belief row (see the writer): slot
+// Bytes each session stores beside its belief row (see emit_payload): slot
 // rng, environment snapshot and the four per-slot u64 arrays; chaos adds an
 // rng, the guard a ladder byte, two u64s and a GuardRuntime::State.
 constexpr std::size_t kSessionBytes = 32 + 72 + 4 * 8;
 constexpr std::size_t kChaosSessionBytes = 32;
 constexpr std::size_t kGuardSessionBytes = 1 + 2 * 8 + 26;
 
-// ---- byte-buffer writer/reader -----------------------------------------
-
-struct Writer {
-  std::vector<unsigned char> bytes;
-
-  void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    bytes.insert(bytes.end(), p, p + n);
-  }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void f64(double v) { raw(&v, 8); }
-  void rng(const std::array<std::uint64_t, 4>& s) {
-    for (const std::uint64_t word : s) u64(word);
-  }
-};
+// ---- payload emitter and reader -----------------------------------------
 
 [[noreturn]] void fail(const std::string& path, const std::string& why) {
   throw ModelError("fleet checkpoint '" + path + "': " + why);
@@ -115,6 +98,59 @@ std::uint64_t hash_sparse(std::uint64_t h, const linalg::SparseMatrix& m) {
   return h;
 }
 
+template <class Out>
+void put_rng(Out& out, const std::array<std::uint64_t, 4>& s) {
+  out.raw(s.data(), sizeof(s));
+}
+
+// One template for both passes of a save: a util::ByteCounter sizes the
+// payload for the header, then the util::FramedFileWriter streams it. The
+// belief block and the per-slot u64 arrays go out straight from `cp`.
+template <class Out>
+void emit_payload(Out& out, const FleetCheckpoint& cp) {
+  const bool has_guard = !cp.ladder_stage.empty();
+  out.u64(cp.model_hash);
+  out.u64(cp.options_hash);
+  out.u64(cp.bound_artifact_hash);
+  out.u64(cp.seed);
+  out.u64(cp.tick);
+  out.u64(cp.sessions);
+  out.u64(cp.num_states);
+  out.u64(cp.num_actions);
+  out.u64(cp.num_observations);
+  out.u64(cp.stats.size());
+  out.raw(cp.stats.data(), cp.stats.size() * 8);
+  out.u8(cp.chaos_rng.empty() ? 0 : 1);
+  out.u8(has_guard ? 1 : 0);
+  for (const auto& s : cp.slot_rng) put_rng(out, s);
+  for (const Environment::Snapshot& env : cp.envs) {
+    out.u64(env.state);
+    out.f64(env.elapsed);
+    out.f64(env.cost);
+    out.f64(env.recovery_entered);
+    out.u64(env.steps);
+    put_rng(out, env.rng);
+  }
+  for (const auto& s : cp.chaos_rng) put_rng(out, s);
+  out.raw(cp.beliefs.data(), cp.beliefs.size() * sizeof(double));
+  out.raw(cp.episode_steps.data(), cp.episode_steps.size() * 8);
+  out.raw(cp.last_actions.data(), cp.last_actions.size() * 8);
+  out.raw(cp.pending_action.data(), cp.pending_action.size() * 8);
+  out.raw(cp.pending_obs.data(), cp.pending_obs.size() * 8);
+  if (has_guard) {
+    out.raw(cp.ladder_stage.data(), cp.ladder_stage.size());
+    out.raw(cp.clean_streak.data(), cp.clean_streak.size() * 8);
+    out.raw(cp.ticks_since_fresh.data(), cp.ticks_since_fresh.size() * 8);
+    for (const controller::GuardRuntime::State& g : cp.guard_state) {
+      out.u8(g.escalated ? 1 : 0);
+      out.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(g.consecutive_overruns)));
+      out.u64(g.stalled_decides);
+      out.u8(g.has_best_bound ? 1 : 0);
+      out.f64(g.best_bound);
+    }
+  }
+}
+
 }  // namespace
 
 std::uint64_t hash_pomdp(const Pomdp& model) {
@@ -152,78 +188,15 @@ void write_fleet_checkpoint(const std::string& path, const FleetCheckpoint& cp) 
                   cp.ticks_since_fresh.size() == n && cp.guard_state.size() == n),
              "write_fleet_checkpoint: guard arrays must be empty or per-slot");
 
-  Writer payload;
-  payload.u64(cp.model_hash);
-  payload.u64(cp.options_hash);
-  payload.u64(cp.bound_artifact_hash);
-  payload.u64(cp.seed);
-  payload.u64(cp.tick);
-  payload.u64(cp.sessions);
-  payload.u64(cp.num_states);
-  payload.u64(cp.num_actions);
-  payload.u64(cp.num_observations);
-  payload.u64(cp.stats.size());
-  for (const std::uint64_t v : cp.stats) payload.u64(v);
-  payload.u8(cp.chaos_rng.empty() ? 0 : 1);
-  payload.u8(has_guard ? 1 : 0);
-  for (const auto& s : cp.slot_rng) payload.rng(s);
-  for (const Environment::Snapshot& env : cp.envs) {
-    payload.u64(env.state);
-    payload.f64(env.elapsed);
-    payload.f64(env.cost);
-    payload.f64(env.recovery_entered);
-    payload.u64(env.steps);
-    payload.rng(env.rng);
-  }
-  for (const auto& s : cp.chaos_rng) payload.rng(s);
-  payload.raw(cp.beliefs.data(), cp.beliefs.size() * sizeof(double));
-  for (const std::uint64_t v : cp.episode_steps) payload.u64(v);
-  for (const std::uint64_t v : cp.last_actions) payload.u64(v);
-  for (const std::uint64_t v : cp.pending_action) payload.u64(v);
-  for (const std::uint64_t v : cp.pending_obs) payload.u64(v);
-  if (has_guard) {
-    payload.raw(cp.ladder_stage.data(), cp.ladder_stage.size());
-    for (const std::uint64_t v : cp.clean_streak) payload.u64(v);
-    for (const std::uint64_t v : cp.ticks_since_fresh) payload.u64(v);
-    for (const controller::GuardRuntime::State& g : cp.guard_state) {
-      payload.u8(g.escalated ? 1 : 0);
-      payload.u64(static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(g.consecutive_overruns)));
-      payload.u64(g.stalled_decides);
-      payload.u8(g.has_best_bound ? 1 : 0);
-      payload.f64(g.best_bound);
-    }
-  }
-
-  Writer file;
-  file.u64(kMagic);
+  util::ByteCounter payload(kHeaderBytes);
+  emit_payload(payload, cp);
+  // The CRC covers everything after the magic (version + length + payload),
+  // so a flipped bit anywhere in the meaningful bytes is caught.
+  util::FramedFileWriter file(path, "fleet checkpoint", kMagic);
   file.u32(kFleetCheckpointVersion);
-  file.u64(payload.bytes.size());
-  file.raw(payload.bytes.data(), payload.bytes.size());
-  // CRC over everything after the magic (version + length + payload), so a
-  // flipped bit anywhere in the meaningful bytes is caught.
-  file.u64(crc64(file.bytes.data() + 8, file.bytes.size() - 8));
-
-  // Atomic write: tmp file in the same directory, fsync, rename over.
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    fail(path, "cannot create '" + tmp + "' — check the directory exists and is "
-               "writable");
-  }
-  const std::size_t written = std::fwrite(file.bytes.data(), 1, file.bytes.size(), out);
-  const bool flushed = std::fflush(out) == 0;
-  const bool synced = ::fsync(::fileno(out)) == 0;
-  std::fclose(out);
-  if (written != file.bytes.size() || !flushed || !synced) {
-    std::remove(tmp.c_str());
-    fail(path, "short write to '" + tmp + "' — disk full or I/O error; the previous "
-               "checkpoint (if any) is untouched");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail(path, "cannot rename '" + tmp + "' into place");
-  }
+  file.u64(payload.position() - kHeaderBytes);
+  emit_payload(file, cp);
+  file.commit();
 }
 
 FleetCheckpoint read_fleet_checkpoint(const std::string& path) {

@@ -17,9 +17,11 @@
 //   [20] payload    ...  fields in the order of FleetCheckpoint (see .cpp)
 //   [..] crc64      u64  CRC-64/XZ over bytes [8, 20 + payload_len)
 //
-// Writes are atomic: the file is written to `<path>.tmp`, flushed and
-// fsync'd, then rename(2)'d over `<path>` — a crash mid-write leaves the
-// previous checkpoint intact, never a torn file.
+// Writes are atomic and durable: util::FramedFileWriter streams the file to
+// `<path>.tmp` (no staging copy of the payload), fsyncs and closes it,
+// rename(2)s it over `<path>` and fsyncs the directory — a crash or power
+// loss mid-write leaves the previous checkpoint intact, never a torn file,
+// and a failed write, fsync or close removes the tmp file.
 //
 // Reads are paranoid: every failure mode of the infra-chaos checkpoint axis
 // maps to a distinct, actionable ModelError —
@@ -99,8 +101,10 @@ struct FleetCheckpoint {
 /// into a fleet over a different model.
 std::uint64_t hash_pomdp(const Pomdp& model);
 
-/// Atomically writes the checkpoint (tmp file + fsync + rename). Throws
-/// ModelError when the file cannot be created/renamed.
+/// Atomically and durably writes the checkpoint (tmp file + fsync + close +
+/// rename + directory fsync). Throws ModelError when the file cannot be
+/// created, written, synced, closed or renamed; the previous checkpoint at
+/// `path`, if any, is then untouched.
 void write_fleet_checkpoint(const std::string& path, const FleetCheckpoint& cp);
 
 /// Reads and fully validates a checkpoint file (magic, version, length,

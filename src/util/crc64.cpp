@@ -224,17 +224,19 @@ bool cpu_has_clmul() {
 
 }  // namespace
 
-std::uint64_t crc64(const void* data, std::size_t n) {
+std::uint64_t crc64(const void* data, std::size_t n, std::uint64_t crc) {
   const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t crc = ~0ULL;
+  // The final XOR undone is the raw state the kernels continue from; for
+  // crc == 0 it is the CRC-64/XZ initial value ~0.
+  const std::uint64_t state = ~crc;
 #if RECOVERD_CRC64_CLMUL
   // Folding needs at least one 64-byte block; below that the table setup
   // dominates anyway.
   if (n >= 64 && cpu_has_clmul()) {
-    return ~crc64_update_clmul(crc, p, n);
+    return ~crc64_update_clmul(state, p, n);
   }
 #endif
-  return ~crc64_update_table(crc, p, n);
+  return ~crc64_update_table(state, p, n);
 }
 
 }  // namespace recoverd::util

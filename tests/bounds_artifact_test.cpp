@@ -6,23 +6,31 @@
 // the fleet-checkpoint one: truncation at every depth, bit flips, foreign
 // magic, version drift, nonzero reserved bytes, model-hash mismatch, empty
 // and odd-sized files all map to an actionable ModelError, never partial
-// data or a fault.
+// data or a fault. The saved bytes are pinned on EMN and must equal the
+// buffered writer's image (tests/reference_framing.hpp) on generated cases.
 #include "bounds/artifact.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bounds/incremental_update.hpp"
 #include "bounds/ra_bound.hpp"
+#include "controller/bootstrap.hpp"
 #include "models/emn.hpp"
+#include "models/synthetic.hpp"
 #include "obs/metrics.hpp"
 #include "pomdp/belief.hpp"
+#include "reference_framing.hpp"
 #include "util/check.hpp"
 #include "util/crc64.hpp"
 
@@ -207,6 +215,158 @@ TEST(ArtifactTest, ZeroExpectedHashSkipsTheModelCheck) {
   const BoundArtifact loaded = load_bound_artifact(path);  // no expectation
   EXPECT_EQ(loaded.model_hash, f.model_hash);
   std::remove(path.c_str());
+}
+
+// ---- pinned bytes, the buffered oracle, the round-trip property ----------
+
+// The saved bytes are the file format: an artifact written by one build must
+// load in the next. Pinned on the Table 1 bound set (RA-Bound seed at
+// capacity 64, then ten depth-2 bootstrap episodes from seed 2006), the set
+// every EMN workload warm-starts from.
+TEST(ArtifactTest, SavedBytesArePinnedOnEmn) {
+  Fixture& f = fixture();
+  BoundSet set = make_ra_bound_set(f.chain, 64);
+  controller::BootstrapOptions boot;
+  boot.iterations = 10;
+  boot.tree_depth = 2;
+  boot.observe_action = models::emn_ids(models::make_emn_base()).topo.observe_action;
+  boot.seed = 2006;
+  boot.branch_floor = 1e-2;
+  controller::bootstrap_bounds(f.recovery, set, Belief::uniform(f.recovery.num_states()),
+                               boot);
+  const std::string path = temp_path("bounds_pinned.rdb");
+  const std::uint64_t crc = save_bound_artifact(path, f.chain, set, f.model_hash);
+  const std::vector<unsigned char> bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), std::size_t{7688});
+  EXPECT_EQ(crc, 0x0390d200093161cbULL);
+  EXPECT_EQ(util::crc64(bytes.data(), bytes.size()), 0xfb725c06eefc161aULL);
+  std::remove(path.c_str());
+}
+
+// A bound set of `planes` random planes over `n` states, through restore():
+// protection flags, use counts and the generation vary with `seed`.
+BoundSet random_set(std::size_t n, std::size_t planes, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coefficient(-50.0, 0.0);
+  BoundSet::Snapshot snap;
+  snap.dimension = n;
+  snap.capacity = planes;
+  snap.generation = rng() % 10000;
+  snap.first_added = true;
+  snap.planes.resize(planes);
+  for (BoundSet::Snapshot::Plane& p : snap.planes) {
+    p.vector.resize(n);
+    for (double& v : p.vector) v = coefficient(rng);
+    p.is_protected = rng() % 4 == 0;
+    p.uses = rng() % 100000;
+  }
+  return BoundSet::restore(snap);
+}
+
+struct GeneratedBounds {
+  RandomActionChain chain;
+  BoundSet set;
+  std::uint64_t model_hash;
+};
+
+// Chains of odd and even state counts, so the u32 arrays of the solve plan
+// take both pad8 paths, each with a 1-plane (RA-Bound) and a 64-plane set.
+std::vector<GeneratedBounds> generated_bounds() {
+  std::vector<GeneratedBounds> out;
+  for (const std::size_t n : {std::size_t{2}, std::size_t{7}, std::size_t{64},
+                              std::size_t{301}, std::size_t{1024}}) {
+    models::SyntheticMdpParams params;
+    params.num_states = n;
+    params.num_actions = 2 + n % 4;
+    params.locality = 16;
+    params.forward_probability = 0.05;
+    params.seed = n;
+    const Mdp mdp = models::make_synthetic_recovery_mdp(params);
+    RandomActionChain chain = build_random_action_chain(mdp);
+    BoundSet ra = make_ra_bound_set(chain, 0);
+    out.push_back({chain, std::move(ra), hash_mdp(mdp)});
+    out.push_back({std::move(chain), random_set(n, 64, n), hash_mdp(mdp)});
+  }
+  return out;
+}
+
+// The streamed save writes exactly the bytes of the buffered writer it
+// replaced, including from a chain that borrows its CSR arrays from a
+// mapped artifact.
+TEST(ArtifactParityTest, StreamedSavesMatchTheBufferedWriter) {
+  const std::string path = temp_path("bounds_parity.rdb");
+  for (const GeneratedBounds& g : generated_bounds()) {
+    const std::size_t n = g.chain.num_states();
+    const std::size_t planes = g.set.size();
+    const std::uint64_t crc = save_bound_artifact(path, g.chain, g.set, g.model_hash);
+    const std::vector<unsigned char> want =
+        testref::reference_bound_artifact_bytes(g.chain, g.set, g.model_hash);
+    EXPECT_EQ(read_file(path), want) << n << " states, " << planes << " planes";
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, want.data() + want.size() - 8, 8);
+    EXPECT_EQ(crc, stored) << n << " states, " << planes << " planes";
+
+    const BoundArtifact loaded = load_bound_artifact(path, g.model_hash);
+    save_bound_artifact(path, loaded.chain, loaded.set, g.model_hash);
+    EXPECT_EQ(read_file(path),
+              testref::reference_bound_artifact_bytes(loaded.chain, loaded.set,
+                                                      g.model_hash))
+        << "from the mapped chain: " << n << " states, " << planes << " planes";
+  }
+  std::remove(path.c_str());
+}
+
+// The round-trip property of ROADMAP item 9: write → read → write is
+// byte-identical.
+TEST(ArtifactTest, WriteReadWriteIsByteIdentical) {
+  std::vector<GeneratedBounds> cases = generated_bounds();
+  Fixture& f = fixture();
+  cases.push_back({f.chain, f.make_warmed_set(), f.model_hash});
+  const std::string first = temp_path("bounds_rtw_first.rdb");
+  const std::string second = temp_path("bounds_rtw_second.rdb");
+  for (const GeneratedBounds& g : cases) {
+    save_bound_artifact(first, g.chain, g.set, g.model_hash);
+    const BoundArtifact loaded = load_bound_artifact(first, g.model_hash);
+    save_bound_artifact(second, loaded.chain, loaded.set, loaded.model_hash);
+    EXPECT_EQ(read_file(first), read_file(second))
+        << g.chain.num_states() << " states, " << g.set.size() << " planes";
+  }
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+// A save that cannot complete throws, removes its tmp file and leaves the
+// previous artifact at the path byte for byte. The write failure comes from
+// this process's own file-size limit (RLIMIT_FSIZE, SIGXFSZ ignored).
+TEST(ArtifactTest, FailedSaveLeavesThePreviousFileUntouched) {
+  Fixture& f = fixture();
+  const std::string path = temp_path("bounds_failed_save.rdb");
+  const BoundSet small = make_ra_bound_set(f.chain, 32);
+  save_bound_artifact(path, f.chain, small, f.model_hash);
+  const std::vector<unsigned char> before = read_file(path);
+  const BoundSet big = random_set(f.recovery.num_states(), 256, 5);
+
+  struct ::rlimit saved = {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  struct ::rlimit capped = saved;
+  capped.rlim_cur = 4096 + 100;  // the first buffer flush fits, the planes do not
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const std::string message =
+      model_error_of([&] { save_bound_artifact(path, f.chain, big, f.model_hash); });
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_NE(message.find("untouched"), std::string::npos) << message;
+  EXPECT_EQ(read_file(path), before);
+  std::ifstream tmp(path + ".tmp", std::ios::binary);
+  EXPECT_FALSE(tmp.good());
+  std::remove(path.c_str());
+
+  const std::string missing = model_error_of([&] {
+    save_bound_artifact("/nonexistent/dir/bounds.rdb", f.chain, small, f.model_hash);
+  });
+  EXPECT_NE(missing.find("cannot create"), std::string::npos) << missing;
 }
 
 // ---- corruption matrix --------------------------------------------------

@@ -8,11 +8,14 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "bounds/ra_bound.hpp"
 #include "linalg/gauss_seidel.hpp"
+#include "models/emn.hpp"
 #include "models/synthetic.hpp"
+#include "reference_chain.hpp"
 
 namespace recoverd {
 namespace {
@@ -172,6 +175,45 @@ TEST(ParallelAssembly, ChainBitwiseIdenticalAcrossWorkers) {
       }
     }
     EXPECT_EQ(chain.plan.num_components, reference.plan.num_components);
+  }
+}
+
+template <class T>
+bool same_bytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(ParallelAssembly, InPlaceBuildMatchesTheScratchOracleAtJobs1And4) {
+  // The in-place row merge must leave the same CSR, reward and solve-plan
+  // bytes as the scratch-and-copy assembly it replaced (tests/
+  // reference_chain.hpp): every topology regime of the sweep, single-action
+  // and duplicate-heavy models, and EMN.
+  std::vector<Mdp> mdps;
+  for (std::uint64_t seed = 0; seed < 9; ++seed) {
+    models::SyntheticMdpParams params = sweep_params(seed);
+    params.num_actions = 1 + seed % 6;
+    params.branching = 1 + seed % 5;
+    mdps.push_back(models::make_synthetic_recovery_mdp(params));
+  }
+  mdps.push_back(models::make_emn_recovery_model().mdp());
+  for (std::size_t m = 0; m < mdps.size(); ++m) {
+    for (const std::size_t jobs : {1, 4}) {
+      const RandomActionChain chain = build_random_action_chain(mdps[m], jobs);
+      const RandomActionChain want = testref::reference_build_random_action_chain(mdps[m], jobs);
+      EXPECT_EQ(chain.num_actions, want.num_actions);
+      EXPECT_TRUE(same_bytes(chain.q.row_offsets(), want.q.row_offsets()))
+          << "model " << m << ", jobs " << jobs;
+      EXPECT_TRUE(same_bytes(chain.q.entry_array(), want.q.entry_array()))
+          << "model " << m << ", jobs " << jobs;
+      EXPECT_TRUE(same_bytes(std::span<const double>(chain.c), std::span<const double>(want.c)))
+          << "model " << m << ", jobs " << jobs;
+      EXPECT_EQ(chain.plan.component, want.plan.component);
+      EXPECT_EQ(chain.plan.members, want.plan.members);
+      EXPECT_EQ(chain.plan.component_ptr, want.plan.component_ptr);
+      EXPECT_EQ(chain.plan.level_of, want.plan.level_of);
+      EXPECT_EQ(chain.plan.level_components, want.plan.level_components);
+      EXPECT_EQ(chain.plan.level_ptr, want.plan.level_ptr);
+    }
   }
 }
 

@@ -4,7 +4,9 @@
 // classes/shared_hits work accounting may differ), writes must be atomic,
 // and the checkpoint corruption matrix (truncation, bit flips, bad magic,
 // version/model/options mismatches) must be rejected with an actionable
-// error before any driver state is touched.
+// error before any driver state is touched. The saved bytes are pinned on
+// EMN and must equal the buffered writer's image
+// (tests/reference_framing.hpp) on generated checkpoints.
 #include "sim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,7 @@
 #include "controller/bootstrap.hpp"
 #include "models/emn.hpp"
 #include "pomdp/belief.hpp"
+#include "reference_framing.hpp"
 #include "sim/fleet_driver.hpp"
 #include "util/check.hpp"
 #include "util/crc64.hpp"
@@ -278,6 +282,128 @@ TEST(CheckpointTest, PersistedHashesArePinnedOnEmn) {
                 .capture_checkpoint()
                 .options_hash,
             0x851fc23204faa006ULL);
+}
+
+// ---- pinned bytes, the buffered oracle, the round-trip property ----------
+
+// The saved bytes are the file format: a checkpoint written by one build
+// must restore in the next. Pinned on a guarded chaos fleet, whose file
+// carries every optional block (chaos streams, ladder and guard state).
+TEST(CheckpointTest, SavedBytesArePinnedOnEmn) {
+  const std::string path = temp_path("fleet_pinned.ckpt");
+  FleetDriver fleet = make_fleet(make_resilient_options(16, FleetMode::Batch));
+  for (std::size_t tick = 0; tick < 5; ++tick) fleet.tick();
+  fleet.save_checkpoint(path);
+  const std::vector<unsigned char> bytes = read_file(path);
+  EXPECT_EQ(bytes.size(), std::size_t{5574});
+  EXPECT_EQ(util::crc64(bytes.data(), bytes.size()), 0x50a65f7f982841b2ULL);
+  std::remove(path.c_str());
+}
+
+// A checkpoint with every field drawn from `seed`: odd and even session
+// and state counts, with and without the chaos and guard blocks, negative
+// overrun counters included.
+FleetCheckpoint random_checkpoint(std::size_t sessions, std::size_t num_states,
+                                  bool chaos, bool guard, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto stream = [&] {
+    return std::array<std::uint64_t, 4>{rng(), rng(), rng(), rng()};
+  };
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  FleetCheckpoint cp;
+  cp.model_hash = rng();
+  cp.options_hash = rng();
+  cp.bound_artifact_hash = rng() % 2 == 0 ? 0 : rng();
+  cp.seed = rng();
+  cp.tick = rng() % 1000;
+  cp.sessions = sessions;
+  cp.num_states = num_states;
+  cp.num_actions = 1 + rng() % 9;
+  cp.num_observations = 1 + rng() % 9;
+  cp.stats.resize(21);
+  for (std::uint64_t& v : cp.stats) v = rng() % 100000;
+  for (std::size_t i = 0; i < sessions; ++i) {
+    cp.slot_rng.push_back(stream());
+    Environment::Snapshot env;
+    env.state = static_cast<StateId>(rng() % num_states);
+    env.elapsed = 100.0 * unit(rng);
+    env.cost = -50.0 * unit(rng);
+    env.recovery_entered = rng() % 3 == 0 ? env.recovery_entered : unit(rng);
+    env.steps = rng() % 50;
+    env.rng = stream();
+    cp.envs.push_back(env);
+    if (chaos) cp.chaos_rng.push_back(stream());
+    for (std::size_t s = 0; s < num_states; ++s) cp.beliefs.push_back(unit(rng));
+    cp.episode_steps.push_back(rng() % 50);
+    cp.last_actions.push_back(rng() % cp.num_actions);
+    cp.pending_action.push_back(rng() % cp.num_actions);
+    cp.pending_obs.push_back(rng() % cp.num_observations);
+    if (guard) {
+      cp.ladder_stage.push_back(static_cast<std::uint8_t>(rng() % 4));
+      cp.clean_streak.push_back(rng() % 10);
+      cp.ticks_since_fresh.push_back(rng() % 10);
+      controller::GuardRuntime::State g;
+      g.escalated = rng() % 2 == 0;
+      g.consecutive_overruns = static_cast<std::int32_t>(rng() % 7) - 3;
+      g.stalled_decides = rng() % 20;
+      g.has_best_bound = rng() % 2 == 0;
+      g.best_bound = -10.0 * unit(rng);
+      cp.guard_state.push_back(g);
+    }
+  }
+  return cp;
+}
+
+std::vector<FleetCheckpoint> generated_checkpoints() {
+  std::vector<FleetCheckpoint> out;
+  std::uint64_t seed = 1;
+  for (const std::size_t sessions : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+    for (const std::size_t num_states : {std::size_t{1}, std::size_t{15}}) {
+      for (const bool chaos : {false, true}) {
+        for (const bool guard : {false, true}) {
+          out.push_back(random_checkpoint(sessions, num_states, chaos, guard, seed++));
+        }
+      }
+    }
+  }
+  FleetDriver plain = make_fleet(make_options(8, FleetMode::Batch));
+  FleetDriver resilient = make_fleet(make_resilient_options(13, FleetMode::Batch));
+  for (std::size_t tick = 0; tick < 3; ++tick) {
+    plain.tick();
+    resilient.tick();
+  }
+  out.push_back(plain.capture_checkpoint());
+  out.push_back(resilient.capture_checkpoint());
+  return out;
+}
+
+// The streamed save writes exactly the bytes of the buffered writer it
+// replaced.
+TEST(CheckpointParityTest, StreamedSavesMatchTheBufferedWriter) {
+  const std::string path = temp_path("fleet_parity.ckpt");
+  for (const FleetCheckpoint& cp : generated_checkpoints()) {
+    write_fleet_checkpoint(path, cp);
+    EXPECT_EQ(read_file(path), testref::reference_fleet_checkpoint_bytes(cp))
+        << cp.sessions << " sessions × " << cp.num_states << " states, chaos "
+        << !cp.chaos_rng.empty() << ", guard " << !cp.ladder_stage.empty();
+  }
+  std::remove(path.c_str());
+}
+
+// The round-trip property of ROADMAP item 9: write → read → write is
+// byte-identical.
+TEST(CheckpointTest, WriteReadWriteIsByteIdentical) {
+  const std::string first = temp_path("fleet_rtw_first.ckpt");
+  const std::string second = temp_path("fleet_rtw_second.ckpt");
+  for (const FleetCheckpoint& cp : generated_checkpoints()) {
+    write_fleet_checkpoint(first, cp);
+    write_fleet_checkpoint(second, read_fleet_checkpoint(first));
+    EXPECT_EQ(read_file(first), read_file(second))
+        << cp.sessions << " sessions × " << cp.num_states << " states, chaos "
+        << !cp.chaos_rng.empty() << ", guard " << !cp.ladder_stage.empty();
+  }
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 // ---- corruption matrix --------------------------------------------------

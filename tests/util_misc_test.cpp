@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <csignal>
@@ -12,6 +19,7 @@
 #include "util/cli.hpp"
 #include "util/crc64.hpp"
 #include "util/csv.hpp"
+#include "util/framed_file.hpp"
 #include "util/logging.hpp"
 #include "util/shutdown.hpp"
 #include "util/table.hpp"
@@ -297,6 +305,92 @@ TEST(Crc64, UnalignedBasePointerIsExact) {
     EXPECT_EQ(util::crc64(buf.data() + shift, 512), util::crc64(copy.data(), 512))
         << "shift " << shift;
   }
+}
+
+// The incremental form continues a CRC across pieces: cutting a buffer
+// anywhere, into pieces below and above the 64-byte folding threshold and
+// of zero length, must give the one-shot value. The streaming file writer
+// relies on this for every artifact and checkpoint it saves.
+TEST(Crc64, EverySplitMatchesTheOneShotValue) {
+  std::mt19937_64 rng(64);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<unsigned char> buf(rng() % 2048);
+    for (unsigned char& b : buf) b = static_cast<unsigned char>(rng());
+    const std::uint64_t one_shot = util::crc64(buf.data(), buf.size());
+    // Short pieces (mostly table path) in odd trials, long ones (mostly
+    // folding path) in even trials.
+    const std::size_t max_piece = trial % 2 == 0 ? 600 : 70;
+    std::uint64_t crc = 0;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      const std::size_t piece = std::min<std::size_t>(rng() % (max_piece + 1), buf.size() - at);
+      crc = util::crc64(buf.data() + at, piece, crc);
+      at += piece;
+    }
+    EXPECT_EQ(crc, one_shot) << "trial " << trial << ", " << buf.size() << " bytes";
+  }
+  // The check value, one byte at a time and across the middle.
+  const char* digits = "123456789";
+  std::uint64_t crc = 0;
+  for (std::size_t i = 0; i < 9; ++i) crc = util::crc64(digits + i, 1, crc);
+  EXPECT_EQ(crc, 0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(util::crc64(digits + 4, 5, util::crc64(digits, 4)), 0x995DC9BBDF1939FAULL);
+}
+
+std::vector<unsigned char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The frame: magic, then every byte written (small fields through the
+// buffer, a large array straight through), then the CRC-64 of everything
+// after the magic, which commit() also returns.
+TEST(FramedFile, CommitWritesMagicBodyAndTheBodyCrc) {
+  const std::string path = testing::TempDir() + "framed_commit.bin";
+  std::vector<double> big(3000);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 0.5 * static_cast<double>(i);
+  util::FramedFileWriter out(path, "test file", 0x1122334455667788ULL);
+  out.u32(7);
+  out.u8(1);
+  out.pad8();
+  out.raw(big.data(), big.size() * sizeof(double));
+  out.f64(-2.5);
+  const std::uint64_t crc = out.commit();
+
+  const std::vector<unsigned char> bytes = file_bytes(path);
+  ASSERT_EQ(bytes.size(), 8 + 8 + big.size() * sizeof(double) + 8 + 8);
+  EXPECT_EQ(out.position(), bytes.size());
+  std::uint64_t magic = 0;
+  std::memcpy(&magic, bytes.data(), 8);
+  EXPECT_EQ(magic, 0x1122334455667788ULL);
+  EXPECT_EQ(std::memcmp(bytes.data() + 16, big.data(), big.size() * sizeof(double)), 0);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - 8, 8);
+  EXPECT_EQ(stored, crc);
+  EXPECT_EQ(crc, util::crc64(bytes.data() + 8, bytes.size() - 16));
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  std::remove(path.c_str());
+}
+
+// A writer that never commits (an emitter threw, say) removes its tmp file
+// and leaves the file already at the path as it was.
+TEST(FramedFile, UncommittedWriterLeavesThePreviousFile) {
+  const std::string path = testing::TempDir() + "framed_abandoned.bin";
+  {
+    util::FramedFileWriter first(path, "test file", 1);
+    first.u64(42);
+    first.commit();
+  }
+  const std::vector<unsigned char> before = file_bytes(path);
+  {
+    util::FramedFileWriter abandoned(path, "test file", 2);
+    std::vector<unsigned char> big(10000, 0xab);
+    abandoned.raw(big.data(), big.size());
+    EXPECT_TRUE(std::ifstream(path + ".tmp").good());
+  }
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
+  EXPECT_EQ(file_bytes(path), before);
+  std::remove(path.c_str());
 }
 
 }  // namespace
