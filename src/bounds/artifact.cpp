@@ -1,19 +1,13 @@
 #include "bounds/artifact.hpp"
 
+#include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/crc64.hpp"
 #include "util/framed_file.hpp"
 #include "util/hash.hpp"
 #include "util/timer.hpp"
@@ -54,10 +48,6 @@ struct ArtifactInstruments {
     return instruments;
   }
 };
-
-[[noreturn]] void fail(const std::string& path, const std::string& why) {
-  throw ModelError("bound artifact '" + path + "': " + why);
-}
 
 // ---- payload emitter ----------------------------------------------------
 //
@@ -118,136 +108,13 @@ void emit_payload(Out& out, const RandomActionChain& chain, const BoundSet& set,
   for (std::size_t i = 0; i < set.size(); ++i) out.raw(set.vector_at(i).data(), n * 8);
 }
 
-// ---- mmap'd (or fallback-read) input file -------------------------------
-
-struct Mapping {
-  const unsigned char* data = nullptr;
-  std::size_t size = 0;
-  void* base = nullptr;
-  std::size_t map_len = 0;
-  std::vector<unsigned char> fallback;
-
-  explicit Mapping(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      fail(path, "cannot open — no bound artifact at this path (build one with "
-                 "--bounds-out first)");
-    }
-    struct ::stat st = {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-      ::close(fd);
-      fail(path, "cannot stat — the path is not a readable regular file");
-    }
-    size = static_cast<std::size_t>(st.st_size);
-    if (size > 0) {
-      // MAP_POPULATE prefaults the whole range in one readahead pass instead
-      // of ~size/4096 minor faults during the CRC sweep.
-      void* m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE, fd, 0);
-      if (m == MAP_FAILED) m = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      if (m != MAP_FAILED) {
-        base = m;
-        map_len = size;
-        data = static_cast<const unsigned char*>(m);
-      } else {
-        // mmap can fail on exotic filesystems; a plain read is equivalent,
-        // just without the zero-copy page cache sharing.
-        fallback.resize(size);
-        std::size_t got = 0;
-        while (got < size) {
-          const ::ssize_t r = ::pread(fd, fallback.data() + got, size - got,
-                                      static_cast<::off_t>(got));
-          if (r <= 0) break;
-          got += static_cast<std::size_t>(r);
-        }
-        if (got != size) {
-          ::close(fd);
-          fail(path, "short read — the file shrank while loading");
-        }
-        data = fallback.data();
-      }
-    }
-    ::close(fd);
-  }
-  ~Mapping() {
-    if (base != nullptr) ::munmap(base, map_len);
-  }
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-};
-
-// ---- payload reader -----------------------------------------------------
-//
-// Every read goes through memcpy, so the reader is correct at any byte
-// offset — corruption that desynchronises the field layout surfaces as a
-// need() failure or a trailing-bytes error, never as an unaligned access.
-
-struct Reader {
-  const std::string& path;
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  void need(std::size_t n, const char* what) {
-    if (size - pos < n) {
-      fail(path, std::string("truncated while reading ") + what + " (need " +
-                     std::to_string(n) + " bytes at offset " + std::to_string(pos) +
-                     ", file has " + std::to_string(size) + ") — the file was cut "
-                     "short; rebuild the artifact with --bounds-out");
-    }
-  }
-  /// Overflow-safe guard for count×elem_size array reads: a corrupted count
-  /// field fails here with a size argument instead of wrapping the multiply.
-  void need_array(std::uint64_t count, std::size_t elem_size, const char* what) {
-    if (count > (size - pos) / elem_size) {
-      fail(path, std::string("implausible ") + what + " count " +
-                     std::to_string(count) + " (would need " +
-                     std::to_string(count) + "×" + std::to_string(elem_size) +
-                     " bytes, file has " + std::to_string(size - pos) +
-                     " left) — the file is corrupted");
-    }
-  }
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return data[pos++];
-  }
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v;
-    std::memcpy(&v, data + pos, 4);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v;
-    std::memcpy(&v, data + pos, 8);
-    pos += 8;
-    return v;
-  }
-  void raw(void* out, std::size_t n, const char* what) {
-    need(n, what);
-    std::memcpy(out, data + pos, n);
-    pos += n;
-  }
-  void pad8(const char* what) {
-    const std::size_t n = (8 - pos % 8) % 8;
-    need(n, what);
-    pos += n;
-  }
-  std::vector<std::uint32_t> u32_array(std::uint64_t count, const char* what) {
-    need_array(count, 4, what);
-    std::vector<std::uint32_t> out(count);
-    raw(out.data(), count * 4, what);
-    pad8(what);
-    return out;
-  }
-  std::vector<std::size_t> u64_array(std::uint64_t count, const char* what) {
-    need_array(count, 8, what);
-    std::vector<std::size_t> out(count);
-    raw(out.data(), count * 8, what);
-    return out;
-  }
-};
+/// A u32 array and its padding, as put_u32_array wrote them.
+std::vector<std::uint32_t> get_u32_array(util::FramedFileReader& in, std::uint64_t count,
+                                         const char* what) {
+  std::vector<std::uint32_t> values = in.array<std::uint32_t>(count, what);
+  in.pad8(what);
+  return values;
+}
 
 }  // namespace
 
@@ -305,67 +172,31 @@ BoundArtifact load_bound_artifact(const std::string& path,
                                   std::uint64_t expected_model_hash) {
   const Timer timer;
   try {
-    // Shared so the loaded matrix can borrow CSR arrays straight out of the
-    // mapping (view_csr_trusted keeps the mapping alive past this function).
-    const auto map_owner = std::make_shared<const Mapping>(path);
-    const Mapping& map = *map_owner;
-    if (map.size == 0) {
-      fail(path, "empty file — a bound artifact is at least " +
-                 std::to_string(kHeaderBytes + 8) + " bytes; rebuild it with "
-                 "--bounds-out");
-    }
-    if (map.size < kHeaderBytes + 8) {
-      fail(path, "truncated header (" + std::to_string(map.size) + " bytes, need "
-                 "at least " + std::to_string(kHeaderBytes + 8) + ") — the file "
-                 "was cut short; rebuild the artifact with --bounds-out");
-    }
-    Reader r{path, map.data, map.size};
-    const std::uint64_t magic = r.u64("magic");
-    if (magic != kMagic) {
-      fail(path, "not a recoverd bound artifact (bad magic) — was this file "
-                 "written by save_bound_artifact?");
-    }
+    util::FramedFileReader r(path, "bound artifact",
+                             "rebuild the artifact with --bounds-out", kMagic,
+                             kHeaderBytes);
     const std::uint32_t version = r.u32("version");
     if (version != kBoundArtifactVersion) {
-      fail(path, "unsupported version " + std::to_string(version) + " (this build "
-                 "reads version " + std::to_string(kBoundArtifactVersion) +
-                 ") — rebuild the artifact with this build");
+      r.fail("unsupported version " + std::to_string(version) + " (this build reads "
+             "version " + std::to_string(kBoundArtifactVersion) + ") — rebuild the "
+             "artifact with this build");
     }
-    const std::uint32_t reserved = r.u32("reserved");
-    if (reserved != 0) {
-      fail(path, "nonzero reserved field — the file is corrupted or from a "
-                 "newer format");
+    if (r.u32("reserved") != 0) {
+      r.fail("nonzero reserved field — the file is corrupted or from a newer format");
     }
-    const std::uint64_t payload_len = r.u64("payload length");
-    if (map.size != kHeaderBytes + payload_len + 8) {
-      fail(path, "length mismatch (header says " + std::to_string(payload_len) +
-                 " payload bytes, file holds " +
-                 std::to_string(map.size >= kHeaderBytes + 8
-                                    ? map.size - kHeaderBytes - 8
-                                    : 0) +
-                 ") — the file was truncated or grew; rebuild the artifact");
-    }
-    const std::uint64_t computed_crc = util::crc64(map.data + 8, map.size - 16);
-    std::uint64_t stored_crc;
-    std::memcpy(&stored_crc, map.data + map.size - 8, 8);
-    if (computed_crc != stored_crc) {
-      fail(path, "checksum mismatch (CRC-64 of contents does not match the stored "
-                 "value) — the file is corrupted (bit flip or partial overwrite); "
-                 "rebuild the artifact with --bounds-out");
-    }
+    const std::uint64_t content_hash = r.check_frame(r.u64("payload length"));
 
     const std::uint64_t model_hash = r.u64("model hash");
     if (expected_model_hash != 0 && model_hash != expected_model_hash) {
-      fail(path, "built for a different model (artifact model hash " +
-                 std::to_string(model_hash) + ", this model hashes to " +
-                 std::to_string(expected_model_hash) + ") — bounds are only "
-                 "valid for the exact model they were solved on; rebuild with "
-                 "--bounds-out");
+      r.fail("built for a different model (artifact model hash " +
+             std::to_string(model_hash) + ", this model hashes to " +
+             std::to_string(expected_model_hash) + ") — bounds are only valid for "
+             "the exact model they were solved on; rebuild with --bounds-out");
     }
     const std::uint64_t n = r.u64("num states");
     const std::uint64_t num_actions = r.u64("num actions");
     if (n == 0 || num_actions == 0) {
-      fail(path, "empty model dimensions — the file is corrupted");
+      r.fail("empty model dimensions — the file is corrupted");
     }
 
     // -- chain.q --
@@ -373,57 +204,30 @@ BoundArtifact load_bound_artifact(const std::string& path,
     const std::uint64_t q_rows = r.u64("matrix rows");
     const std::uint64_t q_nnz = r.u64("matrix nonzeros");
     if (q_cols != n || q_rows != n) {
-      fail(path, "chain matrix is " + std::to_string(q_rows) + "×" +
-                 std::to_string(q_cols) + " but the model has " + std::to_string(n) +
-                 " states — the file is corrupted");
+      r.fail("chain matrix is " + std::to_string(q_rows) + "×" + std::to_string(q_cols) +
+             " but the model has " + std::to_string(n) + " states — the file is "
+             "corrupted");
     }
-    r.need_array(q_rows + 1, 8, "row offset");
-    r.need((q_rows + 1) * 8, "row offsets");
-    const std::size_t row_ptr_off = r.pos;
-    r.pos += (q_rows + 1) * 8;
-    r.need_array(q_nnz, sizeof(linalg::SparseEntry), "matrix entry");
-    r.need(q_nnz * sizeof(linalg::SparseEntry), "matrix entries");
-    const std::size_t entries_off = r.pos;
-    r.pos += q_nnz * sizeof(linalg::SparseEntry);
-
-    RandomActionChain chain;
-    chain.num_actions = num_actions;
-    // The CRC above covers both arrays bit-for-bit and the writer only ever
+    // The CRC covers both arrays bit for bit and the writer only ever
     // serializes matrices that passed from_csr, so the O(nnz) re-validation
     // is skipped and the matrix borrows the mapped bytes outright instead of
-    // copying them (the payload layout 8-aligns both arrays: a page-aligned
-    // mapping plus a 24-byte header and u64-only preceding fields). This is
-    // most of what makes a warm start milliseconds — at 10^6 states the
-    // entry array alone is ~235 MB that never gets memcpy'd. The copy branch
-    // only triggers for the pread fallback if its buffer lands unaligned.
-    const auto aligned8 = [&](std::size_t off) {
-      return reinterpret_cast<std::uintptr_t>(map.data + off) % 8 == 0;
-    };
-    if (aligned8(row_ptr_off) && aligned8(entries_off)) {
-      const auto* rp = reinterpret_cast<const std::size_t*>(map.data + row_ptr_off);
-      const auto* es =
-          reinterpret_cast<const linalg::SparseEntry*>(map.data + entries_off);
-      if (rp[0] != 0 || rp[q_rows] != q_nnz) {
-        fail(path, "row offsets do not span the entry array — the file is corrupted");
-      }
-      chain.q = linalg::SparseMatrix::view_csr_trusted(
-          q_cols, {rp, q_rows + 1}, {es, q_nnz}, map_owner);
-    } else {
-      std::vector<std::size_t> row_ptr(q_rows + 1);
-      std::memcpy(row_ptr.data(), map.data + row_ptr_off, (q_rows + 1) * 8);
-      std::vector<linalg::SparseEntry> entries(q_nnz);
-      std::memcpy(entries.data(), map.data + entries_off,
-                  q_nnz * sizeof(linalg::SparseEntry));
-      if (row_ptr.front() != 0 || row_ptr.back() != q_nnz) {
-        fail(path, "row offsets do not span the entry array — the file is corrupted");
-      }
-      chain.q = linalg::SparseMatrix::from_csr_trusted(q_cols, std::move(row_ptr),
-                                                       std::move(entries));
+    // copying them (the payload layout 8-aligns both arrays). This is most
+    // of what makes a warm start milliseconds: at 10^6 states the entry
+    // array alone is ~235 MB that never gets memcpy'd.
+    const std::span<const std::size_t> row_ptr =
+        r.in_place<std::size_t>(q_rows + 1, "row offset");
+    const std::span<const linalg::SparseEntry> entries =
+        r.in_place<linalg::SparseEntry>(q_nnz, "matrix entry");
+    if (row_ptr.front() != 0 || row_ptr.back() != q_nnz) {
+      r.fail("row offsets do not span the entry array — the file is corrupted");
     }
+    RandomActionChain chain;
+    chain.num_actions = num_actions;
+    chain.q = linalg::SparseMatrix::view_csr_trusted(q_cols, row_ptr, entries,
+                                                     r.keep_alive());
 
     // -- chain.c --
-    chain.c.resize(n);
-    r.raw(chain.c.data(), n * 8, "reward vector");
+    chain.c = r.array<double>(n, "reward vector");
 
     // -- solve plan --
     linalg::SolvePlan& plan = chain.plan;
@@ -431,29 +235,28 @@ BoundArtifact load_bound_artifact(const std::string& path,
     plan.num_singletons = r.u64("singleton count");
     plan.largest_component = r.u64("largest component");
     if (plan.num_components == 0 || plan.num_components > n) {
-      fail(path, "implausible component count " +
-                 std::to_string(plan.num_components) + " for " + std::to_string(n) +
-                 " states — the file is corrupted");
+      r.fail("implausible component count " + std::to_string(plan.num_components) +
+             " for " + std::to_string(n) + " states — the file is corrupted");
     }
-    plan.component = r.u32_array(n, "component map");
-    plan.members = r.u32_array(n, "component members");
-    plan.component_ptr = r.u64_array(plan.num_components + 1, "component offsets");
-    plan.level_of = r.u32_array(plan.num_components, "component levels");
+    plan.component = get_u32_array(r, n, "component map");
+    plan.members = get_u32_array(r, n, "component members");
+    plan.component_ptr = r.array<std::size_t>(plan.num_components + 1, "component offsets");
+    plan.level_of = get_u32_array(r, plan.num_components, "component levels");
     const std::uint64_t num_level_components = r.u64("level component count");
-    plan.level_components = r.u32_array(num_level_components, "level components");
+    plan.level_components = get_u32_array(r, num_level_components, "level components");
     const std::uint64_t num_level_ptr = r.u64("level offset count");
     if (num_level_ptr == 0) {
-      fail(path, "empty level schedule — the file is corrupted");
+      r.fail("empty level schedule — the file is corrupted");
     }
-    plan.level_ptr = r.u64_array(num_level_ptr, "level offsets");
+    plan.level_ptr = r.array<std::size_t>(num_level_ptr, "level offsets");
 
     // -- bound set --
     BoundSet::Snapshot snap;
     snap.dimension = r.u64("set dimension");
     if (snap.dimension != n) {
-      fail(path, "bound set dimension " + std::to_string(snap.dimension) +
-                 " does not match the " + std::to_string(n) + "-state chain — "
-                 "the file is corrupted");
+      r.fail("bound set dimension " + std::to_string(snap.dimension) +
+             " does not match the " + std::to_string(n) + "-state chain — the file "
+             "is corrupted");
     }
     snap.capacity = r.u64("set capacity");
     snap.generation = r.u64("set generation");
@@ -462,29 +265,30 @@ BoundArtifact load_bound_artifact(const std::string& path,
     const std::uint64_t num_planes = r.u64("plane count");
     r.need_array(num_planes, n * 8, "plane");
     snap.planes.resize(num_planes);
-    for (std::uint64_t i = 0; i < num_planes; ++i) {
-      snap.planes[i].is_protected = r.u8("plane protection flag") != 0;
+    for (BoundSet::Snapshot::Plane& plane : snap.planes) {
+      plane.is_protected = r.u8("plane protection flag") != 0;
     }
     r.pad8("plane flag padding");
-    for (std::uint64_t i = 0; i < num_planes; ++i) {
-      snap.planes[i].uses = r.u64("plane use count");
+    for (BoundSet::Snapshot::Plane& plane : snap.planes) {
+      plane.uses = r.u64("plane use count");
     }
-    for (std::uint64_t i = 0; i < num_planes; ++i) {
-      snap.planes[i].vector.resize(n);
-      r.raw(snap.planes[i].vector.data(), n * 8, "plane coefficients");
+    for (BoundSet::Snapshot::Plane& plane : snap.planes) {
+      plane.vector = r.array<double>(n, "plane coefficients");
+      for (const double v : plane.vector) {
+        if (!std::isfinite(v)) {
+          r.fail("non-finite plane coefficient — the file is corrupted");
+        }
+      }
     }
-
-    if (r.pos != map.size - 8) {
-      fail(path, "trailing bytes after payload — the file is corrupted");
-    }
+    r.expect_end();
 
     BoundArtifact artifact(std::move(chain), BoundSet::restore(snap));
     artifact.model_hash = model_hash;
-    artifact.content_hash = stored_crc;
+    artifact.content_hash = content_hash;
 
     ArtifactInstruments& instruments = ArtifactInstruments::get();
     instruments.loads.add();
-    instruments.bytes_read.add(map.size);
+    instruments.bytes_read.add(r.size());
     instruments.load_ms.set(timer.elapsed_ms());
     return artifact;
   } catch (...) {

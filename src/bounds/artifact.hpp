@@ -25,18 +25,19 @@
 //   [..] crc64       u64  CRC-64/XZ over bytes [8, 24 + payload_len)
 //
 // The payload keeps every multi-byte field 8-byte aligned relative to the
-// file start (u32 arrays are padded), so an mmap'd artifact could be walked
-// in place; the loader nevertheless copies through memcpy everywhere, which
-// makes it equally correct on truncated, odd-sized, or otherwise unaligned
-// inputs — corruption is answered with a ModelError, never a fault.
+// file start (u32 arrays are padded), so the loader borrows the chain's CSR
+// arrays straight out of the mapping; every other field is copied out
+// through bounds-checked reads, which are correct at any byte offset.
 //
-// Writes stream through util::FramedFileWriter, the framing shared with
-// sim/checkpoint.cpp: no payload buffer or file image is ever built, and
-// the save is atomic and durable (tmp + fsync + close + rename + directory
-// fsync). Reads are paranoid, exactly like sim/checkpoint.cpp: truncation,
-// foreign magic, unknown version, flipped bits, length drift, and model
-// mismatch each map to a distinct actionable ModelError, and a rejected
-// file never returns partial data.
+// Both directions go through util/framed_file, the framing shared with
+// sim/checkpoint.cpp. util::FramedFileWriter streams the save: no payload
+// buffer or file image is ever built, and the save is atomic and durable
+// (tmp + fsync + close + rename + directory fsync). util::FramedFileReader
+// maps the file and checks it: truncation, foreign magic, unknown version,
+// flipped bits, length drift, model mismatch and structural drift behind a
+// valid checksum (a non-finite plane coefficient included) each map to a
+// distinct actionable ModelError naming the file, and a rejected file
+// never returns partial data.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +84,12 @@ std::uint64_t save_bound_artifact(const std::string& path,
                                   const BoundSet& set, std::uint64_t model_hash);
 
 /// Reads and fully validates an artifact (magic, version, length, CRC-64,
-/// dimension consistency) through a read-only mmap (with a plain-read
-/// fallback when mapping fails). When `expected_model_hash` is nonzero it
-/// must match the stored model hash. Throws ModelError with an actionable
-/// one-line message on any corruption or mismatch; never returns partial
-/// data.
+/// dimension consistency, finite planes) through util::FramedFileReader's
+/// read-only mapping. The returned chain's matrix borrows its CSR arrays
+/// from that mapping, which stays mapped while the matrix or a copy of it
+/// lives. When `expected_model_hash` is nonzero it must match the stored
+/// model hash. Throws ModelError with an actionable one-line message on any
+/// corruption or mismatch; never returns partial data.
 BoundArtifact load_bound_artifact(const std::string& path,
                                   std::uint64_t expected_model_hash = 0);
 

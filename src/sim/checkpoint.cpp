@@ -1,11 +1,9 @@
 #include "sim/checkpoint.hpp"
 
-#include <cstdio>
-#include <cstring>
+#include <array>
 #include <string>
 
 #include "util/check.hpp"
-#include "util/crc64.hpp"
 #include "util/framed_file.hpp"
 #include "util/hash.hpp"
 
@@ -14,7 +12,6 @@ namespace recoverd::sim {
 namespace {
 
 using util::bits_of;
-using util::crc64;
 using util::mix_in;
 
 constexpr std::uint64_t kMagic = 0x314b43544c464452ULL;  // "RDFLTCK1" LE
@@ -26,65 +23,8 @@ constexpr std::size_t kSessionBytes = 32 + 72 + 4 * 8;
 constexpr std::size_t kChaosSessionBytes = 32;
 constexpr std::size_t kGuardSessionBytes = 1 + 2 * 8 + 26;
 
-// ---- payload emitter and reader -----------------------------------------
-
-[[noreturn]] void fail(const std::string& path, const std::string& why) {
-  throw ModelError("fleet checkpoint '" + path + "': " + why);
-}
-
-struct Reader {
-  const std::string& path;
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  void need(std::size_t n, const char* what) {
-    if (size - pos < n) {
-      fail(path, std::string("truncated while reading ") + what + " (need " +
-                     std::to_string(n) + " bytes at offset " + std::to_string(pos) +
-                     ", file has " + std::to_string(size) + ") — the file was cut "
-                     "short; restore from an intact checkpoint");
-    }
-  }
-  /// Overflow-safe guard for count×elem_size reads: a corrupted count field
-  /// fails here, before anything is allocated, instead of in reserve().
-  void need_array(std::uint64_t count, std::size_t elem_size, const char* what) {
-    if (count > (size - pos) / elem_size) {
-      fail(path, std::string("implausible ") + what + " count " +
-                     std::to_string(count) + " (would need " + std::to_string(count) +
-                     "×" + std::to_string(elem_size) + " bytes, file has " +
-                     std::to_string(size - pos) + " left) — the file is corrupted");
-    }
-  }
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return data[pos++];
-  }
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v;
-    std::memcpy(&v, data + pos, 4);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v;
-    std::memcpy(&v, data + pos, 8);
-    pos += 8;
-    return v;
-  }
-  double f64(const char* what) {
-    need(8, what);
-    double v;
-    std::memcpy(&v, data + pos, 8);
-    pos += 8;
-    return v;
-  }
-  std::array<std::uint64_t, 4> rng(const char* what) {
-    return {u64(what), u64(what), u64(what), u64(what)};
-  }
-};
+using RngState = std::array<std::uint64_t, 4>;
+static_assert(sizeof(RngState) == 32, "an RNG state is four u64 words");
 
 std::uint64_t hash_sparse(std::uint64_t h, const linalg::SparseMatrix& m) {
   h = mix_in(h, m.rows());
@@ -99,8 +39,12 @@ std::uint64_t hash_sparse(std::uint64_t h, const linalg::SparseMatrix& m) {
 }
 
 template <class Out>
-void put_rng(Out& out, const std::array<std::uint64_t, 4>& s) {
+void put_rng(Out& out, const RngState& s) {
   out.raw(s.data(), sizeof(s));
+}
+
+RngState get_rng(util::FramedFileReader& in, const char* what) {
+  return {in.u64(what), in.u64(what), in.u64(what), in.u64(what)};
 }
 
 // One template for both passes of a save: a util::ByteCounter sizes the
@@ -200,54 +144,15 @@ void write_fleet_checkpoint(const std::string& path, const FleetCheckpoint& cp) 
 }
 
 FleetCheckpoint read_fleet_checkpoint(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    fail(path, "cannot open — no checkpoint at this path (nothing to restore)");
-  }
-  std::vector<unsigned char> bytes;
-  unsigned char chunk[1 << 16];
-  for (;;) {
-    const std::size_t got = std::fread(chunk, 1, sizeof(chunk), in);
-    bytes.insert(bytes.end(), chunk, chunk + got);
-    if (got < sizeof(chunk)) break;
-  }
-  std::fclose(in);
-
-  if (bytes.size() < kHeaderBytes + 8) {
-    fail(path, "truncated header (" + std::to_string(bytes.size()) + " bytes, need at "
-               "least " + std::to_string(kHeaderBytes + 8) + ") — the file was cut "
-               "short; restore from an intact checkpoint");
-  }
-  Reader r{path, bytes.data(), bytes.size()};
-  const std::uint64_t magic = r.u64("magic");
-  if (magic != kMagic) {
-    fail(path, "not a recoverd fleet checkpoint (bad magic) — was this file written "
-               "by write_fleet_checkpoint?");
-  }
+  util::FramedFileReader r(path, "fleet checkpoint", "restore from an intact checkpoint",
+                           kMagic, kHeaderBytes);
   const std::uint32_t version = r.u32("version");
   if (version != kFleetCheckpointVersion) {
-    fail(path, "unsupported version " + std::to_string(version) + " (this build reads "
-               "version " + std::to_string(kFleetCheckpointVersion) + ") — re-save "
-               "the checkpoint with this build");
+    r.fail("unsupported version " + std::to_string(version) + " (this build reads "
+           "version " + std::to_string(kFleetCheckpointVersion) + ") — re-save the "
+           "checkpoint with this build");
   }
-  const std::uint64_t payload_len = r.u64("payload length");
-  if (bytes.size() != kHeaderBytes + payload_len + 8) {
-    fail(path, "length mismatch (header says " + std::to_string(payload_len) +
-               " payload bytes, file holds " +
-               std::to_string(bytes.size() >= kHeaderBytes + 8
-                                  ? bytes.size() - kHeaderBytes - 8
-                                  : 0) +
-               ") — the file was truncated or grew; restore from an intact "
-               "checkpoint");
-  }
-  const std::uint64_t stored_crc = crc64(bytes.data() + 8, bytes.size() - 16);
-  std::uint64_t file_crc;
-  std::memcpy(&file_crc, bytes.data() + bytes.size() - 8, 8);
-  if (stored_crc != file_crc) {
-    fail(path, "checksum mismatch (CRC-64 of contents does not match the stored "
-               "value) — the file is corrupted (bit flip or partial overwrite); "
-               "restore from an intact checkpoint");
-  }
+  r.check_frame(r.u64("payload length"));
 
   FleetCheckpoint cp;
   cp.model_hash = r.u64("model hash");
@@ -261,80 +166,55 @@ FleetCheckpoint read_fleet_checkpoint(const std::string& path) {
   cp.num_observations = r.u64("num_observations");
   const std::uint64_t num_stats = r.u64("stats count");
   if (num_stats > 1024) {
-    fail(path, "implausible stats count " + std::to_string(num_stats) +
-               " — the file is corrupted");
+    r.fail("implausible stats count " + std::to_string(num_stats) +
+           " — the file is corrupted");
   }
-  cp.stats.reserve(num_stats);
-  for (std::uint64_t i = 0; i < num_stats; ++i) cp.stats.push_back(r.u64("stats"));
+  cp.stats = r.array<std::uint64_t>(num_stats, "stats");
   const bool has_chaos = r.u8("chaos flag") != 0;
   const bool has_guard = r.u8("guard flag") != 0;
 
   const std::uint64_t n = cp.sessions;
-  // A corrupted sessions/num_states field would make the loops below demand
-  // absurd byte counts: bound both by the bytes left before reserving.
+  // A corrupted sessions/num_states field would make the reads below demand
+  // absurd byte counts: bound both by the bytes left before allocating.
   if (n == 0 || cp.num_states == 0) {
-    fail(path, "empty fleet dimensions — the file is corrupted");
+    r.fail("empty fleet dimensions — the file is corrupted");
   }
   r.need_array(n,
                kSessionBytes + (has_chaos ? kChaosSessionBytes : 0) +
                    (has_guard ? kGuardSessionBytes : 0),
                "session");
   r.need_array(cp.num_states, n * sizeof(double), "belief state");
-  cp.slot_rng.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) cp.slot_rng.push_back(r.rng("slot rng"));
-  cp.envs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Environment::Snapshot env;
+  cp.slot_rng = r.array<RngState>(n, "slot rng");
+  cp.envs.resize(n);
+  for (Environment::Snapshot& env : cp.envs) {
     env.state = static_cast<StateId>(r.u64("env state"));
     env.elapsed = r.f64("env elapsed");
     env.cost = r.f64("env cost");
     env.recovery_entered = r.f64("env recovery time");
     env.steps = r.u64("env steps");
-    env.rng = r.rng("env rng");
-    cp.envs.push_back(env);
+    env.rng = get_rng(r, "env rng");
   }
-  if (has_chaos) {
-    cp.chaos_rng.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) cp.chaos_rng.push_back(r.rng("chaos rng"));
-  }
-  const std::size_t belief_doubles = static_cast<std::size_t>(n * cp.num_states);
-  r.need(belief_doubles * sizeof(double), "beliefs");
-  cp.beliefs.resize(belief_doubles);
-  std::memcpy(cp.beliefs.data(), r.data + r.pos, belief_doubles * sizeof(double));
-  r.pos += belief_doubles * sizeof(double);
-  cp.episode_steps.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) cp.episode_steps.push_back(r.u64("episode steps"));
-  cp.last_actions.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) cp.last_actions.push_back(r.u64("last actions"));
-  cp.pending_action.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) cp.pending_action.push_back(r.u64("pending actions"));
-  cp.pending_obs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) cp.pending_obs.push_back(r.u64("pending observations"));
+  if (has_chaos) cp.chaos_rng = r.array<RngState>(n, "chaos rng");
+  cp.beliefs = r.array<double>(n * cp.num_states, "beliefs");
+  cp.episode_steps = r.array<std::uint64_t>(n, "episode steps");
+  cp.last_actions = r.array<std::uint64_t>(n, "last actions");
+  cp.pending_action = r.array<std::uint64_t>(n, "pending actions");
+  cp.pending_obs = r.array<std::uint64_t>(n, "pending observations");
   if (has_guard) {
-    r.need(n, "ladder stages");
-    cp.ladder_stage.assign(r.data + r.pos, r.data + r.pos + n);
-    r.pos += n;
-    cp.clean_streak.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) cp.clean_streak.push_back(r.u64("clean streak"));
-    cp.ticks_since_fresh.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      cp.ticks_since_fresh.push_back(r.u64("staleness"));
-    }
-    cp.guard_state.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      controller::GuardRuntime::State g;
+    cp.ladder_stage = r.array<std::uint8_t>(n, "ladder stages");
+    cp.clean_streak = r.array<std::uint64_t>(n, "clean streak");
+    cp.ticks_since_fresh = r.array<std::uint64_t>(n, "staleness");
+    cp.guard_state.resize(n);
+    for (controller::GuardRuntime::State& g : cp.guard_state) {
       g.escalated = r.u8("guard escalated") != 0;
       g.consecutive_overruns = static_cast<std::int32_t>(
           static_cast<std::int64_t>(r.u64("guard overruns")));
       g.stalled_decides = r.u64("guard stalls");
       g.has_best_bound = r.u8("guard best flag") != 0;
       g.best_bound = r.f64("guard best bound");
-      cp.guard_state.push_back(g);
     }
   }
-  if (r.pos != bytes.size() - 8) {
-    fail(path, "trailing bytes after payload — the file is corrupted");
-  }
+  r.expect_end();
   return cp;
 }
 

@@ -23,8 +23,12 @@
 // loss mid-write leaves the previous checkpoint intact, never a torn file,
 // and a failed write, fsync or close removes the tmp file.
 //
-// Reads are paranoid: every failure mode of the infra-chaos checkpoint axis
-// maps to a distinct, actionable ModelError —
+// Reads go through util::FramedFileReader, the reader bound artifacts use
+// too: it maps the file, checks the frame and serves bounds-checked fields,
+// the per-slot arrays copied out of the mapping in bulk. Reads are
+// paranoid: every failure mode of the infra-chaos checkpoint axis maps to a
+// distinct, actionable ModelError —
+//   - empty file                     → "empty file",
 //   - short/truncated file           → "truncated" (with byte counts),
 //   - wrong magic                    → "not a recoverd fleet checkpoint",
 //   - unknown version                → "unsupported version" (got/want),
@@ -37,8 +41,9 @@
 //                                      bound artifact the fleet was warm-
 //                                      started from; restoring into a fleet
 //                                      over different bounds is rejected).
-// A rejected checkpoint is never partially applied: validation happens
-// before any driver state is touched.
+// A rejected checkpoint is never partially applied: FleetDriver's
+// validation, environment states and RNG states included, completes before
+// any driver state is touched.
 #pragma once
 
 #include <array>

@@ -956,11 +956,27 @@ void FleetDriver::adopt_checkpoint(const FleetCheckpoint& cp) {
         "fleet checkpoint per-slot arrays do not match the fleet shape — the "
         "file is corrupted or from an incompatible configuration");
   }
+  // Environment::restore and Rng::set_state reject these with a
+  // PreconditionError; caught here, they cannot fail halfway through.
+  const auto all_zero = [](const std::array<std::uint64_t, 4>& s) {
+    return (s[0] | s[1] | s[2] | s[3]) == 0;
+  };
   for (std::size_t slot = 0; slot < n; ++slot) {
     if (cp.ladder_stage[slot] >
         static_cast<std::uint8_t>(LadderStage::Heuristic)) {
       throw ModelError("fleet checkpoint holds an invalid ladder stage — the "
                        "file is corrupted");
+    }
+    if (cp.envs[slot].state >= num_states) {
+      throw ModelError("fleet checkpoint holds environment state " +
+                       std::to_string(cp.envs[slot].state) + " in a " +
+                       std::to_string(num_states) + "-state model — the file is "
+                       "corrupted");
+    }
+    if (all_zero(cp.slot_rng[slot]) || all_zero(cp.envs[slot].rng) ||
+        (chaos_ && all_zero(cp.chaos_rng[slot]))) {
+      throw ModelError("fleet checkpoint holds an all-zero RNG state — the file "
+                       "is corrupted");
     }
   }
 

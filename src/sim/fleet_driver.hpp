@@ -249,9 +249,10 @@ class FleetDriver {
   FleetCheckpoint capture_checkpoint() const;
 
   /// Applies a capture. Throws ModelError when the checkpoint was saved
-  /// from a different model, fleet shape, or decision-relevant options —
-  /// validation happens before any state is touched. Decision/memo caches
-  /// restart cold (they refill with identical bits).
+  /// from a different model, fleet shape, or decision-relevant options, or
+  /// holds an out-of-range ladder stage or environment state or an all-zero
+  /// RNG state — validation happens before any state is touched.
+  /// Decision/memo caches restart cold (they refill with identical bits).
   void adopt_checkpoint(const FleetCheckpoint& cp);
 
   /// capture_checkpoint() → atomic file write (tmp + fsync + rename).

@@ -6,8 +6,10 @@
 // the fleet-checkpoint one: truncation at every depth, bit flips, foreign
 // magic, version drift, nonzero reserved bytes, model-hash mismatch, empty
 // and odd-sized files all map to an actionable ModelError, never partial
-// data or a fault. The saved bytes are pinned on EMN and must equal the
-// buffered writer's image (tests/reference_framing.hpp) on generated cases.
+// data or a fault, and so does every mutant of the fuzz corpus
+// (tests/framed_fuzz.hpp). The saved bytes are pinned on EMN and must equal
+// the buffered writer's image (tests/reference_framing.hpp) on generated
+// cases.
 #include "bounds/artifact.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "bounds/incremental_update.hpp"
 #include "bounds/ra_bound.hpp"
 #include "controller/bootstrap.hpp"
+#include "framed_fuzz.hpp"
 #include "models/emn.hpp"
 #include "models/synthetic.hpp"
 #include "obs/metrics.hpp"
@@ -493,6 +497,25 @@ TEST(ArtifactCorruptionTest, StructuralDriftBehindAValidChecksumIsRejected) {
   EXPECT_NE(message.find("corrupted"), std::string::npos) << message;
 }
 
+TEST(ArtifactCorruptionTest, NonFinitePlaneCoefficientBehindAValidChecksumIsRejected) {
+  // The last payload word is the last plane's last coefficient. A writer
+  // that put a NaN or an infinity there is refused by the loader itself,
+  // with a message that names the file.
+  ArtifactFile file("bounds_nonfinite.rdb");
+  ASSERT_GT(file.bytes.size(), 32u);
+  const std::size_t last_coefficient = file.bytes.size() - 16;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<unsigned char> forged = file.bytes;
+    std::memcpy(forged.data() + last_coefficient, &bad, 8);
+    testfuzz::reseal(forged);
+    write_file(file.path, forged);
+    const std::string message = model_error_of([&] { file.load(); });
+    EXPECT_NE(message.find("non-finite plane coefficient"), std::string::npos) << message;
+    EXPECT_NE(message.find(file.path), std::string::npos) << message;
+  }
+}
+
 TEST(ArtifactCorruptionTest, RejectedLoadsBumpTheRejectCounter) {
   ArtifactFile file("bounds_counter.rdb");
   std::vector<unsigned char> flipped = file.bytes;
@@ -502,6 +525,42 @@ TEST(ArtifactCorruptionTest, RejectedLoadsBumpTheRejectCounter) {
   const std::uint64_t before = rejects.value();
   EXPECT_THROW(file.load(), ModelError);
   EXPECT_EQ(rejects.value(), before + 1);
+}
+
+// ---- mutation fuzz (tests/framed_fuzz.hpp) --------------------------------
+
+// Every mutant of a saved artifact, as drawn and with its checksum
+// resealed, either loads or is rejected with a ModelError. A mutant that
+// loads re-saves and re-loads to the same chain and set.
+TEST(ArtifactFuzzTest, EveryMutantLoadsOrIsRejectedWithModelError) {
+  ArtifactFile file("bounds_fuzz.rdb");
+  const std::string resaved = temp_path("bounds_fuzz_resaved.rdb");
+  constexpr std::size_t kPayloadStart = 24;
+  std::mt19937_64 rng(testfuzz::kSeed);
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < testfuzz::kMutants; ++i) {
+    std::vector<unsigned char> mutant = testfuzz::mutate(file.bytes, kPayloadStart, rng);
+    for (const bool resealed : {false, true}) {
+      if (resealed) testfuzz::reseal(mutant);
+      write_file(file.path, mutant);
+      try {
+        const BoundArtifact first = load_bound_artifact(file.path, fixture().model_hash);
+        ++loaded;
+        save_bound_artifact(resaved, first.chain, first.set, first.model_hash);
+        const BoundArtifact second = load_bound_artifact(resaved, fixture().model_hash);
+        SCOPED_TRACE("mutant " + std::to_string(i) + (resealed ? " resealed" : ""));
+        expect_chains_bitwise_equal(second.chain, first.chain);
+        expect_sets_bitwise_equal(second.set, first.set);
+      } catch (const ModelError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << i << (resealed ? " resealed" : "")
+                      << ": expected a load or a ModelError, got: " << e.what();
+      }
+    }
+  }
+  // The corpus reaches past the checksum: some resealed mutants load.
+  EXPECT_GT(loaded, 0u);
+  std::remove(resaved.c_str());
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // classes/shared_hits work accounting may differ), writes must be atomic,
 // and the checkpoint corruption matrix (truncation, bit flips, bad magic,
 // version/model/options mismatches) must be rejected with an actionable
-// error before any driver state is touched. The saved bytes are pinned on
-// EMN and must equal the buffered writer's image
+// error before any driver state is touched, as must every mutant of the
+// fuzz corpus (tests/framed_fuzz.hpp) that does not restore. The saved
+// bytes are pinned on EMN and must equal the buffered writer's image
 // (tests/reference_framing.hpp) on generated checkpoints.
 #include "sim/checkpoint.hpp"
 
@@ -22,6 +23,7 @@
 #include "bounds/artifact.hpp"
 #include "bounds/ra_bound.hpp"
 #include "controller/bootstrap.hpp"
+#include "framed_fuzz.hpp"
 #include "models/emn.hpp"
 #include "pomdp/belief.hpp"
 #include "reference_framing.hpp"
@@ -412,8 +414,10 @@ struct CheckpointFile {
   std::string path;
   std::vector<unsigned char> bytes;
 
-  explicit CheckpointFile(const char* name) : path(temp_path(name)) {
-    FleetDriver fleet = make_fleet(make_options(8, FleetMode::Batch));
+  explicit CheckpointFile(const char* name,
+                          const FleetOptions& options = make_options(8, FleetMode::Batch))
+      : path(temp_path(name)) {
+    FleetDriver fleet = make_fleet(options);
     for (std::size_t tick = 0; tick < 3; ++tick) fleet.tick();
     fleet.save_checkpoint(path);
     bytes = read_file(path);
@@ -425,6 +429,14 @@ TEST(CheckpointCorruptionTest, MissingFileIsRejected) {
   const std::string message = model_error_of(
       [] { read_fleet_checkpoint("/nonexistent/dir/fleet.ckpt"); });
   EXPECT_NE(message.find("cannot open"), std::string::npos) << message;
+}
+
+TEST(CheckpointCorruptionTest, EmptyFileIsRejected) {
+  const std::string path = temp_path("fleet_empty.ckpt");
+  write_file(path, {});
+  const std::string message = model_error_of([&] { read_fleet_checkpoint(path); });
+  EXPECT_NE(message.find("empty file"), std::string::npos) << message;
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointCorruptionTest, TruncationIsRejectedAtEveryLength) {
@@ -578,6 +590,66 @@ TEST(CheckpointCorruptionTest, ImplausibleStateCountIsRejectedBeforeAllocating) 
   EXPECT_NE(message.find("implausible belief state count"), std::string::npos) << message;
 }
 
+// Restores `forged` into a fleet of `options` that has ticked twice, which
+// must refuse it with a ModelError containing `expected`, then run it in
+// lock-step with an untouched twin.
+void expect_rejected_untouched(const std::string& path,
+                               const std::vector<unsigned char>& forged,
+                               const FleetOptions& options, const char* expected) {
+  write_file(path, forged);
+  FleetDriver fleet = make_fleet(options);
+  FleetDriver twin = make_fleet(options);
+  for (std::size_t tick = 0; tick < 2; ++tick) {
+    fleet.tick();
+    twin.tick();
+  }
+  const std::string message = model_error_of([&] { fleet.restore_checkpoint(path); });
+  EXPECT_NE(message.find(expected), std::string::npos) << message;
+  for (std::size_t tick = 2; tick < 5; ++tick) {
+    fleet.tick();
+    twin.tick();
+    expect_resumed_equal(fleet, twin, tick);
+  }
+}
+
+// Offsets in an 8-session checkpoint: the stats follow the header (20), nine
+// u64 fields and the stats count; the slot RNGs follow the 21 stats and the
+// two flag bytes; then come the environments (72 bytes each) and, with
+// chaos on, the chaos RNGs.
+constexpr std::size_t kStatsOffset = 20 + 9 * 8 + 8;
+constexpr std::size_t kSlotRngOffset = kStatsOffset + 21 * 8 + 2;
+constexpr std::size_t kEnvOffset = kSlotRngOffset + 8 * 32;
+constexpr std::size_t kChaosRngOffset = kEnvOffset + 8 * 72;
+
+TEST(CheckpointCorruptionTest, OutOfRangeEnvironmentStateIsRejectedBeforeApplying) {
+  // A checkpoint whose checksum was resealed over a bad environment state
+  // (and a changed tick counter) parses; the driver must refuse it before it
+  // writes the counter or any slot before slot 5.
+  CheckpointFile file("fleet_env_state.ckpt");
+  std::vector<unsigned char> forged =
+      resealed_with(file.bytes, kEnvOffset + 5 * 72, std::uint64_t{999});
+  forged = resealed_with(forged, kStatsOffset, std::uint64_t{123456});
+  expect_rejected_untouched(file.path, forged, make_options(8, FleetMode::Batch),
+                            "environment state 999");
+}
+
+TEST(CheckpointCorruptionTest, AllZeroRngStateIsRejectedBeforeApplying) {
+  // xoshiro cannot run from the all-zero state; a slot, environment or chaos
+  // stream zeroed behind a valid checksum is refused before any write.
+  const FleetOptions options = make_resilient_options(8, FleetMode::Batch);
+  CheckpointFile file("fleet_zero_rng.ckpt", options);
+  for (const std::size_t stream : {kSlotRngOffset + 3 * 32, kEnvOffset + 6 * 72 + 40,
+                                   kChaosRngOffset + 7 * 32}) {
+    std::vector<unsigned char> forged =
+        resealed_with(file.bytes, kStatsOffset, std::uint64_t{123456});
+    for (std::size_t word = 0; word < 4; ++word) {
+      forged = resealed_with(forged, stream + 8 * word, 0);
+    }
+    SCOPED_TRACE("stream at offset " + std::to_string(stream));
+    expect_rejected_untouched(file.path, forged, options, "all-zero RNG state");
+  }
+}
+
 TEST(CheckpointCorruptionTest, RejectionLeavesDriverStateUntouched) {
   CheckpointFile file("fleet_untouched.ckpt");  // 8-session checkpoint
   FleetDriver fleet = make_fleet(make_options(12, FleetMode::Batch));
@@ -594,6 +666,45 @@ TEST(CheckpointCorruptionTest, RejectionLeavesDriverStateUntouched) {
     twin.tick();
     expect_resumed_equal(fleet, twin, tick);
   }
+}
+
+// ---- mutation fuzz (tests/framed_fuzz.hpp) --------------------------------
+
+// Every mutant of a guarded chaos checkpoint, as drawn and with its
+// checksum resealed, either restores or is rejected with a ModelError; a
+// rejected one leaves the driver's captured state as it was.
+TEST(CheckpointFuzzTest, EveryMutantRestoresOrIsRejectedUntouched) {
+  const FleetOptions options = make_resilient_options(8, FleetMode::Batch);
+  CheckpointFile file("fleet_fuzz.ckpt", options);
+  constexpr std::size_t kPayloadStart = 20;
+  FleetDriver fleet = make_fleet(options);
+  for (std::size_t tick = 0; tick < 2; ++tick) fleet.tick();
+  const FleetCheckpoint before = fleet.capture_checkpoint();
+  const std::vector<unsigned char> want = testref::reference_fleet_checkpoint_bytes(before);
+  std::mt19937_64 rng(testfuzz::kSeed);
+  std::size_t restored = 0;
+  for (std::size_t i = 0; i < testfuzz::kMutants; ++i) {
+    std::vector<unsigned char> mutant = testfuzz::mutate(file.bytes, kPayloadStart, rng);
+    for (const bool resealed : {false, true}) {
+      if (resealed) testfuzz::reseal(mutant);
+      write_file(file.path, mutant);
+      try {
+        fleet.restore_checkpoint(file.path);
+        ++restored;
+        fleet.adopt_checkpoint(before);
+      } catch (const ModelError&) {
+        EXPECT_EQ(testref::reference_fleet_checkpoint_bytes(fleet.capture_checkpoint()), want)
+            << "mutant " << i << (resealed ? " resealed" : "")
+            << ": the rejected restore changed the driver";
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mutant " << i << (resealed ? " resealed" : "")
+                      << ": expected a restore or a ModelError, got: " << e.what();
+        fleet.adopt_checkpoint(before);
+      }
+    }
+  }
+  // The corpus reaches past the checksum: some resealed mutants restore.
+  EXPECT_GT(restored, 0u);
 }
 
 }  // namespace

@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -390,6 +393,74 @@ TEST(FramedFile, UncommittedWriterLeavesThePreviousFile) {
   }
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
   EXPECT_EQ(file_bytes(path), before);
+  std::remove(path.c_str());
+}
+
+// The reader serves back every field the writer wrote, lends an 8-aligned
+// array in place for as long as keep_alive() is held (past the reader's own
+// life), and returns the CRC commit() stored. Reads past the payload, an
+// implausible count and a payload left half read are ModelErrors that name
+// the format and the file.
+TEST(FramedFile, ReaderServesWhatTheWriterWrote) {
+  const std::string path = testing::TempDir() + "framed_read.bin";
+  constexpr std::uint64_t kMagic = 0x1122334455667788ULL;
+  const std::vector<std::uint32_t> small = {1, 2, 3};
+  std::vector<std::uint64_t> words(700);
+  for (std::size_t i = 0; i < words.size(); ++i) words[i] = i * 0x9e3779b97f4a7c15ULL;
+  const auto emit = [&](auto& sink) {
+    sink.u8(9);
+    sink.u32(7);
+    sink.raw(small.data(), small.size() * 4);
+    sink.pad8();
+    sink.raw(words.data(), words.size() * 8);
+    sink.f64(-2.5);
+  };
+  util::ByteCounter payload(16);
+  emit(payload);
+  util::FramedFileWriter out(path, "test file", kMagic);
+  out.u64(payload.position() - 16);
+  emit(out);
+  const std::uint64_t crc = out.commit();
+
+  std::shared_ptr<const void> keep;
+  std::span<const std::uint64_t> borrowed;
+  {
+    util::FramedFileReader in(path, "test file", "write it again", kMagic, 16);
+    EXPECT_EQ(in.check_frame(in.u64("length")), crc);
+    EXPECT_EQ(in.u8("a"), 9u);
+    EXPECT_EQ(in.u32("b"), 7u);
+    EXPECT_EQ(in.array<std::uint32_t>(small.size(), "small"), small);
+    in.pad8("padding");
+    borrowed = in.in_place<std::uint64_t>(words.size(), "words");
+    EXPECT_EQ(in.f64("c"), -2.5);
+    in.expect_end();
+    keep = in.keep_alive();
+  }
+  EXPECT_TRUE(std::equal(borrowed.begin(), borrowed.end(), words.begin(), words.end()));
+
+  const auto error_of = [&](const std::function<void(util::FramedFileReader&)>& read) {
+    util::FramedFileReader in(path, "test file", "write it again", kMagic, 16);
+    in.check_frame(in.u64("length"));
+    try {
+      read(in);
+    } catch (const ModelError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string prefix = "test file '" + path + "': ";
+  const std::string past_end = error_of([](util::FramedFileReader& in) {
+    (void)in.array<std::uint8_t>(5632, "everything");
+    (void)in.u8("one more");
+  });
+  EXPECT_EQ(past_end.rfind(prefix + "payload ends inside one more", 0), 0u) << past_end;
+  EXPECT_NE(past_end.find("write it again"), std::string::npos) << past_end;
+  const std::string huge = error_of([](util::FramedFileReader& in) {
+    in.need_array(std::uint64_t{1} << 62, 8, "huge");
+  });
+  EXPECT_EQ(huge.rfind(prefix + "implausible huge count", 0), 0u) << huge;
+  const std::string half = error_of([](util::FramedFileReader& in) { in.expect_end(); });
+  EXPECT_EQ(half.rfind(prefix + "trailing bytes", 0), 0u) << half;
   std::remove(path.c_str());
 }
 

@@ -16,10 +16,11 @@
 #
 #   4. robustness: ASan/UBSan run of the guard/mismatch/fleet-guard/
 #      checkpoint/bound-artifact test binaries (the checkpoint and artifact
-#      corruption matrices under ASan are the buffer-overread soak for both
-#      readers, the artifact one covering the zero-copy mmap path) plus a
-#      mini chaos soak (robustness_campaign at --faults=50) that must finish
-#      with zero crashes or livelocks.
+#      corruption matrices and the ArtifactFuzzTest/CheckpointFuzzTest
+#      mutation corpora under ASan are the buffer-overread soak for the one
+#      framed-file reader, util::FramedFileReader, its mmap and the zero-copy
+#      CSR borrow included) plus a mini chaos soak (robustness_campaign at
+#      --faults=50) that must finish with zero crashes or livelocks.
 #
 #   5. scaling: a smoke run of the RA-Bound scaling campaign (10^5 states,
 #      legacy-vs-SCC parity, bitwise determinism across --solver-jobs, and
